@@ -52,4 +52,25 @@ PROMPT="$(sed -n '2p' "$OUT/base.units.tok" | cut -d' ' -f1-3)"
 "$PY" -m abpe metrics-xent --model "$OUT/slm.ngram" --in "$OUT/continuations.tok" \
     --out "$OUT/xent.txt" >/dev/null
 
+# the remaining subcommands, so that every one of them is run with fixed inputs
+"$PY" -m abpe score --model "$OUT/slm.ngram" --in "$OUT/held.units.tok" \
+    --out "$OUT/held.scores"
+"$PY" -m abpe to-unicode --in "$OUT/base.tok" --out "$OUT/base.txt"
+"$PY" -m abpe from-unicode --in "$OUT/base.txt" --vocab 50 --out "$OUT/base.rt.tok"
+"$PY" -m abpe bpe-decode --model "$OUT/units.merges" --in "$OUT/held.units.tok" \
+    --out "$OUT/held.dec.tok"
+
+# rescore: three cases, each a held-out utterance (rank 1) against the same
+# tokens in reverse order (rank 2)
+printf 'case_id\tcandidate_id\ttoken_file_path\thuman_rank\n' > "$OUT/cases.tsv"
+for i in 1 2 3; do
+    sed -n "$((i + 1))p" "$OUT/held.tok" > "$OUT/cand-$i-a.tok"
+    awk '{ for (j = NF; j > 0; j--) printf "%s%s", $j, (j > 1 ? " " : "\n") }' \
+        "$OUT/cand-$i-a.tok" > "$OUT/cand-$i-b.tok"
+    printf 'c%s\ta\tcand-%s-a.tok\t1\nc%s\tb\tcand-%s-b.tok\t2\n' "$i" "$i" "$i" "$i" \
+        >> "$OUT/cases.tsv"
+done
+"$PY" -m abpe rescore --model "$OUT/slm.ngram" --manifest "$OUT/cases.tsv" \
+    --bpe "$OUT/units.merges" --out "$OUT/rescore.txt"
+
 echo "smoke pipeline complete: $OUT" >&2

@@ -18,7 +18,7 @@ id N+i.
 
 from __future__ import annotations
 
-from .corpus import Corpus, TokenSequence
+from .corpus import Corpus, TokenSequence, _parse_id, _parse_ids
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -199,21 +199,19 @@ class BpeModel:
         if len(base_parts) != 2 or base_parts[0] != "#base":
             raise FormatError(f"{path}: missing '#base <N>' line")
         try:
-            base = int(base_parts[1])
-        except ValueError:
-            raise FormatError(f"{path}: malformed base size {base_parts[1]!r}") from None
+            base = _parse_id(base_parts[1])
+        except FormatError as exc:
+            raise FormatError(f"{path}:2: {exc}") from None
         merges: list[Pair] = []
         for lineno, raw in enumerate(lines[2:], start=3):
             line = raw.strip()
             if not line:
                 continue
-            cells = line.split()
-            if len(cells) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'left right'")
             try:
-                merges.append((int(cells[0]), int(cells[1])))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed unit id") from None
+                left, right = _parse_ids(line)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: expected 'left right': {exc}") from None
+            merges.append((left, right))
         try:
             return cls(base, merges)
         except ValueError as exc:

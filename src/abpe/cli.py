@@ -20,6 +20,9 @@ from .corpus import (
     FEATURE_VERSION,
     Corpus,
     SynthSpec,
+    _parse_id,
+    _parse_ids,
+    _read_corpus,
     dump_tokens,
     load_features,
     load_tokens,
@@ -43,20 +46,15 @@ _VERSION_TEXT = (
 )
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _write_bytes(data: bytes, out: str | None) -> None:
-    if out is None:
+def _write(data: str | bytes, out: str | None) -> None:
+    """Send an artifact to the ``out`` path, or to stdout when it is None."""
+    if out is not None:
+        with open(out, "wb") as fh:
+            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+    elif isinstance(data, bytes):
         sys.stdout.buffer.write(data)
     else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        sys.stdout.write(data)
 
 
 def _fmt_value(v) -> str:
@@ -74,38 +72,7 @@ def _emit_metric(name: str, fields: dict, out: str | None) -> None:
     text = record + "\n" + "\n".join(rows) + "\n"
     sys.stdout.write(text)
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _read_unicode_corpus(path: str, vocab: int | None) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    utterances = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            utterances.append(unicode_to_tokens(line))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not utterances:
-        raise FormatError(f"{path}: no utterances")
-    max_id = max(max(u) for u in utterances)
-    if vocab is not None and vocab <= max_id:
-        raise FormatError(f"{path}: vocab {vocab} does not cover max id {max_id}")
-    return Corpus(utterances, max_id + 1 if vocab is None else vocab)
-
-
-def _parse_prompt(text: str) -> list[int]:
-    ids = []
-    for tok in text.split():
-        value = int(tok)
-        if value < 0:
-            raise ValueError(f"negative prompt id {value}")
-        ids.append(value)
-    return ids
+        _write(text, out)
 
 
 def _cmd_synth(args) -> None:
@@ -119,7 +86,7 @@ def _cmd_synth(args) -> None:
         zipf_exponent=args.zipf,
         seed=args.seed,
     )
-    _write_text(dump_tokens(synth_corpus(spec)), args.out)
+    _write(dump_tokens(synth_corpus(spec)), args.out)
 
 
 def _cmd_kmeans_fit(args) -> None:
@@ -140,59 +107,54 @@ def _cmd_kmeans_fit(args) -> None:
         f"inertia={model.inertia:.6g}",
         file=sys.stderr,
     )
-    _write_bytes(model.to_bytes(), args.out)
+    _write(model.to_bytes(), args.out)
 
 
 def _cmd_discretize(args) -> None:
     model = KMeansModel.load(args.model)
     ids = model.assign(load_features(args.infile))
-    _write_text(dump_tokens(Corpus([ids], model.k)), args.out)
+    _write(dump_tokens(Corpus([ids], model.k)), args.out)
+
+
+def _unicode_text(corpus: Corpus) -> str:
+    return "".join(tokens_to_unicode(u) + "\n" for u in corpus.utterances)
 
 
 def _cmd_to_unicode(args) -> None:
-    corpus = load_tokens(args.infile)
-    lines = [tokens_to_unicode(u) for u in corpus.utterances]
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write(_unicode_text(load_tokens(args.infile)), args.out)
 
 
 def _cmd_from_unicode(args) -> None:
-    corpus = _read_unicode_corpus(args.infile, args.vocab)
-    _write_text(dump_tokens(corpus), args.out)
-
-
-def _load_train_corpus(args) -> Corpus:
-    if args.unicode:
-        return _read_unicode_corpus(args.infile, None)
-    return load_tokens(args.infile)
+    corpus = _read_corpus(args.infile, unicode_to_tokens, args.vocab)
+    _write(dump_tokens(corpus), args.out)
 
 
 def _cmd_bpe_train(args) -> None:
-    corpus = _load_train_corpus(args)
+    if args.unicode:
+        corpus = _read_corpus(args.infile, unicode_to_tokens)
+    else:
+        corpus = load_tokens(args.infile)
     model = BpeModel.train(corpus, args.vocab)
     print(
         f"trained {len(model.merges)} merges over base {model.base_size}",
         file=sys.stderr,
     )
-    _write_text(model.dumps(), args.out)
+    _write(model.dumps(), args.out)
 
 
 def _cmd_bpe_encode(args) -> None:
     model = BpeModel.load(args.model)
     if args.unicode:
-        corpus = _read_unicode_corpus(args.infile, model.base_size)
+        corpus = _read_corpus(args.infile, unicode_to_tokens, model.base_size)
     else:
         corpus = load_tokens(args.infile)
-    _write_text(dump_tokens(model.encode_corpus(corpus)), args.out)
+    _write(dump_tokens(model.encode_corpus(corpus)), args.out)
 
 
 def _cmd_bpe_decode(args) -> None:
     model = BpeModel.load(args.model)
     decoded = model.decode_corpus(load_tokens(args.infile))
-    if args.unicode:
-        lines = [tokens_to_unicode(u) for u in decoded.utterances]
-        _write_text("\n".join(lines) + "\n", args.out)
-    else:
-        _write_text(dump_tokens(decoded), args.out)
+    _write(_unicode_text(decoded) if args.unicode else dump_tokens(decoded), args.out)
 
 
 def _cmd_slm_train(args) -> None:
@@ -203,19 +165,19 @@ def _cmd_slm_train(args) -> None:
     model = NgramModel.train(
         corpus, order=args.order, add_k=args.add_k, interpolation_weights=weights
     )
-    _write_bytes(model.to_bytes(), args.out)
+    _write(model.to_bytes(), args.out)
 
 
 def _cmd_score(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
     lines = [repr(model.logprob(u)) for u in corpus.utterances]
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_continue(args) -> None:
     model = NgramModel.load(args.model)
-    prompt = _parse_prompt(args.prompt)
+    prompt = _parse_ids(args.prompt)
     sequences = []
     for i in range(args.num):
         sequences.append(
@@ -227,7 +189,7 @@ def _cmd_continue(args) -> None:
                 top_k=args.top_k,
             )
         )
-    _write_text(dump_tokens(Corpus(sequences, model.vocab_size)), args.out)
+    _write(dump_tokens(Corpus(sequences, model.vocab_size)), args.out)
 
 
 def _read_manifest(path: str):
@@ -235,10 +197,9 @@ def _read_manifest(path: str):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     cases: dict[str, list[tuple[str, str, int | None]]] = {}
-    order: list[str] = []
     base = os.path.dirname(os.path.abspath(path))
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").strip()
+        line = raw.strip()
         if not line:
             continue
         cells = line.split("\t")
@@ -252,18 +213,15 @@ def _read_manifest(path: str):
         rank: int | None = None
         if len(cells) == 4 and cells[3] != "":
             try:
-                rank = int(cells[3])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed rank {cells[3]!r}") from None
+                rank = _parse_id(cells[3])
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: rank: {exc}") from None
         if not os.path.isabs(token_path):
             token_path = os.path.join(base, token_path)
-        if case_id not in cases:
-            cases[case_id] = []
-            order.append(case_id)
-        cases[case_id].append((cand_id, token_path, rank))
-    if not order:
+        cases.setdefault(case_id, []).append((cand_id, token_path, rank))
+    if not cases:
         raise FormatError(f"{path}: empty manifest")
-    return [(case_id, cases[case_id]) for case_id in order]
+    return list(cases.items())
 
 
 def _load_candidate(token_path: str) -> list[int]:
@@ -308,7 +266,7 @@ def _cmd_rescore(args) -> None:
             out_lines.append(f"topx x={x} accuracy={acc!r}")
     else:
         print("ranks missing; top-x table skipped", file=sys.stderr)
-    _write_text("\n".join(out_lines) + "\n", args.out)
+    _write("\n".join(out_lines) + "\n", args.out)
 
 
 def _cmd_metrics_compress(args) -> None:
@@ -375,6 +333,81 @@ def _cmd_metrics_xent(args) -> None:
     )
 
 
+_REQUIRED_INT = {"type": int, "required": True}
+_LO_HI = {"type": int, "nargs": 2, "metavar": ("LO", "HI")}
+
+# options several subcommands share; a bare flag in _SUBCOMMANDS names one
+_SHARED = {
+    "--in": {"dest": "infile", "required": True},
+    "--model": {"required": True},
+    "--seed": _REQUIRED_INT,
+    "--unicode": {"action": "store_true", "help": "input is unicode text"},
+    "--out": {},
+}
+
+# name, help, options in --help order; each also takes --out and runs _cmd_<name>
+_SUBCOMMANDS = (
+    ("synth", "generate a synthetic token corpus", (
+        ("--vocab", _REQUIRED_INT),
+        ("--utts", _REQUIRED_INT),
+        ("--len", {**_LO_HI, "default": (30, 60)}),
+        ("--motifs", {"type": int, "default": 0}),
+        ("--motif-len", {**_LO_HI, "default": (3, 6)}),
+        ("--motif-rate", {"type": float, "default": 0.0}),
+        ("--zipf", {"type": float, "default": 1.3}),
+        "--seed",
+    )),
+    ("kmeans-fit", "fit k-means centroids to features", (
+        "--in",
+        ("--k", _REQUIRED_INT),
+        "--seed",
+        ("--max-iters", {"type": int, "default": 100}),
+        ("--tol", {"type": float, "default": 1e-6}),
+        ("--sample-rows", {"type": int, "default": None,
+                           "help": "fit on a seeded without-replacement row subset of this size"}),
+    )),
+    ("discretize", "map feature rows to centroid ids", ("--model", "--in")),
+    ("to-unicode", "token corpus to one-line-per-utterance text", ("--in",)),
+    ("from-unicode", "inverse of to-unicode",
+     ("--in", ("--vocab", {"type": int, "default": None}))),
+    ("bpe-train", "learn a merge list from a corpus",
+     ("--in", ("--vocab", _REQUIRED_INT), "--unicode")),
+    ("bpe-encode", "apply merges to a base-token corpus", ("--model", "--in", "--unicode")),
+    ("bpe-decode", "expand encoded units to base tokens", (
+        "--model", "--in", ("--unicode", {"action": "store_true", "help": "emit unicode text"}),
+    )),
+    ("slm-train", "train the n-gram sequence model", (
+        "--in",
+        ("--order", {"type": int, "default": 4}),
+        ("--add-k", {"type": float, "default": 0.1}),
+        ("--weights", {"default": None, "help": "comma-separated, one per order"}),
+    )),
+    ("score", "log-probability of each utterance", ("--model", "--in")),
+    ("continue", "sample prompted continuations", (
+        "--model",
+        ("--prompt", {"required": True, "help": "space-separated ids; may be empty"}),
+        ("--max-new", _REQUIRED_INT),
+        "--seed",
+        ("--temperature", {"type": float, "default": 1.0}),
+        ("--top-k", {"type": int, "default": None}),
+        ("--num", {"type": int, "default": 1, "help": "continuations (seeds seed..seed+num-1)"}),
+    )),
+    ("rescore", "pick the best candidate per manifest case", (
+        "--model",
+        ("--manifest", {"required": True}),
+        ("--bpe", {"default": None, "help": "encode raw base-token candidates first"}),
+        ("--length-norm", {"action": "store_true"}),
+    )),
+    ("metrics-compress", "sequence-length compression report", (
+        ("--base", {"required": True}), ("--encoded", {"required": True}),
+    )),
+    ("metrics-vert", "n-gram diversity report", ("--in", ("--n", {"type": int, "default": 3}))),
+    ("metrics-syntax", "shuffled-pair discrimination accuracy",
+     ("--model", "--in", ("--block", {"type": int, "default": 1}), "--seed")),
+    ("metrics-xent", "cross-entropy of samples under a model", ("--model", "--in")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abpe",
@@ -382,133 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=_VERSION_TEXT)
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-
-    p = sub.add_parser("synth", help="generate a synthetic token corpus")
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--utts", type=int, required=True)
-    p.add_argument("--len", type=int, nargs=2, default=[30, 60], metavar=("LO", "HI"))
-    p.add_argument("--motifs", type=int, default=0)
-    p.add_argument(
-        "--motif-len", type=int, nargs=2, default=[3, 6], metavar=("LO", "HI")
-    )
-    p.add_argument("--motif-rate", type=float, default=0.0)
-    p.add_argument("--zipf", type=float, default=1.3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("kmeans-fit", help="fit k-means centroids to features")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument(
-        "--sample-rows",
-        type=int,
-        default=None,
-        help="fit on a seeded without-replacement row subset of this size",
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_kmeans_fit)
-
-    p = sub.add_parser("discretize", help="map feature rows to centroid ids")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_discretize)
-
-    p = sub.add_parser("to-unicode", help="token corpus to one-line-per-utterance text")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_to_unicode)
-
-    p = sub.add_parser("from-unicode", help="inverse of to-unicode")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--vocab", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_from_unicode)
-
-    p = sub.add_parser("bpe-train", help="learn a merge list from a corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--unicode", action="store_true", help="input is unicode text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bpe_train)
-
-    p = sub.add_parser("bpe-encode", help="apply merges to a base-token corpus")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unicode", action="store_true", help="input is unicode text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bpe_encode)
-
-    p = sub.add_parser("bpe-decode", help="expand encoded units to base tokens")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unicode", action="store_true", help="emit unicode text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bpe_decode)
-
-    p = sub.add_parser("slm-train", help="train the n-gram sequence model")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--add-k", type=float, default=0.1)
-    p.add_argument("--weights", default=None, help="comma-separated, one per order")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_slm_train)
-
-    p = sub.add_parser("score", help="log-probability of each utterance")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("continue", help="sample prompted continuations")
-    p.add_argument("--model", required=True)
-    p.add_argument("--prompt", required=True, help="space-separated ids; may be empty")
-    p.add_argument("--max-new", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--num", type=int, default=1, help="continuations (seeds seed..seed+num-1)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_continue)
-
-    p = sub.add_parser("rescore", help="pick the best candidate per manifest case")
-    p.add_argument("--model", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--bpe", default=None, help="encode raw base-token candidates first")
-    p.add_argument("--length-norm", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_rescore)
-
-    p = sub.add_parser("metrics-compress", help="sequence-length compression report")
-    p.add_argument("--base", required=True)
-    p.add_argument("--encoded", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_metrics_compress)
-
-    p = sub.add_parser("metrics-vert", help="n-gram diversity report")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_metrics_vert)
-
-    p = sub.add_parser("metrics-syntax", help="shuffled-pair discrimination accuracy")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--block", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_metrics_syntax)
-
-    p = sub.add_parser("metrics-xent", help="cross-entropy of samples under a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_metrics_xent)
-
+    for name, help_text, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in (*options, "--out"):
+            flag, kwargs = (option, _SHARED[option]) if isinstance(option, str) else option
+            p.add_argument(flag, **kwargs)
+        # by name, so a handler replaced on the module after import is the one bound
+        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 

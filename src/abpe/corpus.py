@@ -2,10 +2,10 @@
 
 On-disk formats handled here:
 
-* Token file: UTF-8 text, one utterance per line, token ids as base-10
-  integers separated by single spaces. An optional first line
-  ``#vocab <N>`` pins the vocabulary size; without it the size defaults
-  to ``1 + max(id)``.
+* Token file: UTF-8 text, one utterance per line, token ids written
+  ``0|[1-9][0-9]*`` in ASCII and separated by spaces. An optional first
+  line ``#vocab <N>`` pins the vocabulary size; without it the size
+  defaults to ``1 + max(id)``.
 * Feature binary: magic ``ABPEFEAT``, u32 LE version (=1), u64 LE row
   count, u64 LE dim, then row-major little-endian float32 values.
 * Feature CSV: comma-separated decimals, one row per line, constant
@@ -32,7 +32,7 @@ FeatureMatrix = np.ndarray
 TOKEN_HEADER_PREFIX = "#vocab"
 FEATURE_MAGIC = b"ABPEFEAT"
 FEATURE_VERSION = 1
-_FEATURE_HEADER = struct.Struct("<8sIQQ")
+_MATRIX_HEADER = struct.Struct("<8sIQQ")
 
 
 @dataclass(frozen=True)
@@ -59,52 +59,73 @@ class Corpus:
         return sum(len(u) for u in self.utterances)
 
 
-def _parse_id(token: str, path: str, lineno: int) -> int:
-    body = token[1:] if token.startswith("-") else token
-    if not (body.isascii() and body.isdigit()):
-        raise FormatError(f"{path}:{lineno}: malformed token {token!r}")
-    value = int(token)
-    if value < 0:
-        raise FormatError(f"{path}:{lineno}: negative id {value}")
-    return value
+def _parse_id(token: str) -> int:
+    """One integer field in the canonical grammar ``0|[1-9][0-9]*``."""
+    if token.isascii() and token.isdigit() and (token[0] != "0" or token == "0"):
+        return int(token)
+    raise FormatError(f"malformed integer {token!r}")
 
 
-def load_tokens(path: str) -> Corpus:
-    """Parse a token file; see the module docstring for the format."""
+def _parse_ids(text: str) -> list[int]:
+    """Whitespace-separated ids, each in the grammar of ``_parse_id``."""
+    tokens = text.split()
+    try:
+        ids = list(map(int, tokens))
+    except ValueError:
+        ids = None
+    # a non-negative int that prints back as its own token is canonical
+    if ids is not None and list(map(str, ids)) == tokens and (not ids or min(ids) >= 0):
+        return ids
+    return [_parse_id(t) for t in tokens]  # raises at the first bad token
+
+
+def _parse_vocab_header(line: str) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != TOKEN_HEADER_PREFIX:
+        raise FormatError("expected '#vocab <N>' header")
+    vocab = _parse_id(parts[1])
+    if vocab < 1:
+        raise FormatError("vocab size must be >= 1")
+    return vocab
+
+
+def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
+    """The line loop every corpus reader shares.
+
+    Blank lines are skipped and every other stripped line becomes one
+    utterance through ``parse_line``; a ``ValueError`` it raises is
+    reported as ``path:lineno``. With ``header``, a line 1 that starts
+    with ``#`` is passed to it and gives the vocab size. The vocab size,
+    given or from the header, must cover every id; without one it is
+    ``1 + max(id)``.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-
-    header_vocab: int | None = None
     utterances: list[TokenSequence] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            if lineno != 1:
-                raise FormatError(f"{path}:{lineno}: header allowed on line 1 only")
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != TOKEN_HEADER_PREFIX:
-                raise FormatError(f"{path}:{lineno}: expected '#vocab <N>' header")
-            try:
-                header_vocab = int(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: malformed vocab size {parts[1]!r}"
-                ) from None
-            if header_vocab < 1:
-                raise FormatError(f"{path}:{lineno}: vocab size must be >= 1")
-            continue
-        utterances.append([_parse_id(tok, path, lineno) for tok in line.split()])
-
+        try:
+            if header is None or line[0] != "#":
+                utterances.append(parse_line(line))
+            elif lineno == 1:
+                vocab = header(line)
+            else:
+                raise FormatError("header allowed on line 1 only")
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not utterances:
         raise FormatError(f"{path}: no utterances")
-    max_id = max(max(u) for u in utterances)
-    if header_vocab is not None and header_vocab <= max_id:
-        raise FormatError(
-            f"{path}: header vocab {header_vocab} does not cover max id {max_id}"
-        )
-    return Corpus(utterances, max_id + 1 if header_vocab is None else header_vocab)
+    max_id = max(map(max, utterances))
+    if vocab is not None and vocab <= max_id:
+        raise FormatError(f"{path}: vocab {vocab} does not cover max id {max_id}")
+    return Corpus(utterances, max_id + 1 if vocab is None else vocab)
+
+
+def load_tokens(path: str) -> Corpus:
+    """Parse a token file; see the module docstring for the format."""
+    return _read_corpus(path, _parse_ids, header=_parse_vocab_header)
 
 
 def dump_tokens(corpus: Corpus) -> str:
@@ -130,27 +151,46 @@ def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise FormatError(f"{origin}: feature matrix must be 2-D and non-empty")
     if not np.isfinite(values).all():
-        raise FormatError(f"{origin}: non-finite feature value")
+        raise FormatError(f"{origin}: non-finite value")
     return values
 
 
-def _parse_feature_binary(blob: bytes, path: str) -> np.ndarray:
-    if len(blob) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated feature header")
-    magic, version, n, d = _FEATURE_HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature version {version}")
+def _has_magic(blob: bytes, magic: bytes) -> bool:
+    return blob[: len(magic)] == magic
+
+
+def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: int,
+                   origin: str) -> tuple:
+    """The fields after magic and version of a binary header that starts ``blob``.
+
+    Every binary format here opens with an 8-byte magic and a u32 version.
+    """
+    if len(blob) < header.size:
+        raise FormatError(f"{origin}: truncated header")
+    if not _has_magic(blob, magic):
+        raise FormatError(f"{origin}: bad magic {blob[: len(magic)]!r}")
+    fields = header.unpack_from(blob)
+    if fields[1] != version:
+        raise FormatError(f"{origin}: unsupported version {fields[1]}")
+    return fields[2:]
+
+
+def _pack_matrix(magic: bytes, version: int, values: np.ndarray) -> bytes:
+    """Magic, u32 version, u64 rows, u64 dim, then row-major float32 values."""
+    n, d = values.shape
+    return _MATRIX_HEADER.pack(magic, version, n, d) + values.astype("<f4").tobytes()
+
+
+def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.ndarray:
+    """Inverse of ``_pack_matrix``; the values come back as float64."""
+    n, d = _unpack_header(blob, _MATRIX_HEADER, magic, version, origin)
     if n < 1 or d < 1:
-        raise FormatError(f"{path}: invalid shape {n}x{d}")
-    expected = _FEATURE_HEADER.size + 4 * n * d
+        raise FormatError(f"{origin}: invalid shape {n}x{d}")
+    expected = _MATRIX_HEADER.size + 4 * n * d
     if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size)
-    return _check_matrix(values.reshape(n, d).astype(np.float64), path)
+        raise FormatError(f"{origin}: payload is {len(blob)} bytes, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f4", offset=_MATRIX_HEADER.size)
+    return _check_matrix(values.reshape(n, d).astype(np.float64), origin)
 
 
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:
@@ -174,8 +214,8 @@ def load_features(path: str) -> FeatureMatrix:
     """Load a feature matrix from the binary format or CSV (autodetected)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(FEATURE_MAGIC)] == FEATURE_MAGIC:
-        return _parse_feature_binary(blob, path)
+    if _has_magic(blob, FEATURE_MAGIC):
+        return _unpack_matrix(blob, FEATURE_MAGIC, FEATURE_VERSION, path)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
@@ -188,10 +228,8 @@ def save_features(values: FeatureMatrix, path: str, fmt: str = "binary") -> None
     arr = np.asarray(values, dtype=np.float64)
     _check_matrix(arr, path)
     if fmt == "binary":
-        n, d = arr.shape
         with open(path, "wb") as fh:
-            fh.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d))
-            fh.write(arr.astype("<f4").tobytes())
+            fh.write(_pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, arr))
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for row in arr:

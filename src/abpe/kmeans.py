@@ -11,24 +11,18 @@ then k*dim little-endian float32 centroid values, row-major.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .corpus import _check_matrix, _pack_matrix, _unpack_matrix
 
 KMEANS_MAGIC = b"ABPEKMNS"
 KMEANS_VERSION = 1
-_HEADER = struct.Struct("<8sIQQ")
 
 
 def _as_features(features, dim: int | None = None) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError("features must be a non-empty 2-D matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("features contain non-finite values")
+    x = _check_matrix(np.asarray(features, dtype=np.float64), "features")
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {dim}")
     return x
@@ -158,8 +152,7 @@ class KMeansModel:
         return [int(c) for c in labels]
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(KMEANS_MAGIC, KMEANS_VERSION, self.k, self.dim)
-        return header + self.centroids.astype("<f4").tobytes()
+        return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -170,20 +163,4 @@ class KMeansModel:
         """Read a model file; centroids come back at float32 precision."""
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) < _HEADER.size:
-            raise FormatError(f"{path}: truncated model header")
-        magic, version, k, dim = _HEADER.unpack_from(blob)
-        if magic != KMEANS_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != KMEANS_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if k < 1 or dim < 1:
-            raise FormatError(f"{path}: invalid shape {k}x{dim}")
-        expected = _HEADER.size + 4 * k * dim
-        if len(blob) != expected:
-            raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-        values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-        centroids = values.reshape(k, dim).astype(np.float64)
-        if not np.isfinite(centroids).all():
-            raise FormatError(f"{path}: non-finite centroid")
-        return cls(centroids=centroids)
+        return cls(centroids=_unpack_matrix(blob, KMEANS_MAGIC, KMEANS_VERSION, path))

@@ -17,10 +17,11 @@ depends on the count-based internals.
 
 Model file: magic ``ABPENGRM``, u32 LE version (=1), u64 LE vocab_size,
 u32 LE order, f64 LE add_k, order f64 LE interpolation weights, u64 LE
-triple count, then sorted (context, event, count) triples as u64s. Context
-symbols are stored shifted by one with 0 for the begin marker; the event
-id ``vocab_size`` is the end-of-sequence event. Only top-order counts are
-stored; lower orders are exact marginals and are rebuilt on load.
+triple count, then (context, event, count) triples as u64s in strictly
+increasing (context, event) order. Context symbols are stored shifted by
+one with 0 for the begin marker; the event id ``vocab_size`` is the
+end-of-sequence event. Only top-order counts are stored; lower orders are
+exact marginals and are rebuilt on load.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import struct
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence
+from .corpus import Corpus, TokenSequence, _unpack_header
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -236,13 +237,9 @@ class NgramModel:
     def load(cls, path: str) -> "NgramModel":
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) < _FIXED_HEADER.size:
-            raise FormatError(f"{path}: truncated model header")
-        magic, version, vocab_size, order, add_k = _FIXED_HEADER.unpack_from(blob)
-        if magic != NGRAM_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != NGRAM_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        vocab_size, order, add_k = _unpack_header(
+            blob, _FIXED_HEADER, NGRAM_MAGIC, NGRAM_VERSION, path
+        )
         if vocab_size < 1 or order < 1 or not add_k > 0:
             raise FormatError(f"{path}: invalid model parameters")
         offset = _FIXED_HEADER.size
@@ -261,15 +258,18 @@ class NgramModel:
 
         ngram_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
         context_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-        for _ in range(n_triples):
-            values = row.unpack_from(blob, offset)
-            offset += row.size
+        previous: tuple[int, ...] = ()
+        for values in row.iter_unpack(memoryview(blob)[offset:]):
+            # one encoding per model: (context, event) keys strictly increase
+            if values[:order] <= previous:
+                raise FormatError(f"{path}: triples not strictly increasing")
+            previous = values[:order]
             raw_ctx, event, cnt = values[: order - 1], values[order - 1], values[order]
             if cnt < 1:
                 raise FormatError(f"{path}: non-positive count")
             if event > vocab_size:
                 raise FormatError(f"{path}: event id {event} out of range")
-            full = tuple(int(s) - 1 for s in raw_ctx)
+            full = tuple(s - 1 for s in raw_ctx)
             seen_real = False
             for s in full:
                 if s >= vocab_size:
@@ -282,9 +282,9 @@ class NgramModel:
                 sub = full[order - o :]
                 grams = ngram_counts[o - 1]
                 ctxs = context_counts[o - 1]
-                key = sub + (int(event),)
-                grams[key] = grams.get(key, 0) + int(cnt)
-                ctxs[sub] = ctxs.get(sub, 0) + int(cnt)
+                key = sub + (event,)
+                grams[key] = grams.get(key, 0) + cnt
+                ctxs[sub] = ctxs.get(sub, 0) + cnt
         return cls(
             int(vocab_size), int(order), float(add_k), tuple(weights),
             ngram_counts, context_counts,

@@ -7,6 +7,7 @@ import pytest
 from abpe import (
     BpeModel,
     Corpus,
+    FormatError,
     NgramModel,
     SynthSpec,
     load_tokens,
@@ -122,6 +123,29 @@ def test_unicode_bpe_train_matches_token_train(tmp_path):
         == 0
     )
     assert m_tok.read_bytes() == m_uni.read_bytes()
+
+
+def test_unicode_bpe_encode_matches_token_encode(tmp_path, capsys):
+    corpus = synth_corpus(SynthSpec(30, 20, (10, 20), 2, (2, 3), 0.5, 1.0, seed=5))
+    src = tmp_path / "src.tok"
+    save_tokens(corpus, str(src))
+    text = tmp_path / "u.txt"
+    merges = tmp_path / "m.merges"
+    assert run_cli("to-unicode", "--in", src, "--out", text) == 0
+    assert run_cli("bpe-train", "--vocab", 45, "--in", src, "--out", merges) == 0
+    enc_tok, enc_uni = tmp_path / "a.tok", tmp_path / "b.tok"
+    assert run_cli("bpe-encode", "--model", merges, "--in", src, "--out", enc_tok) == 0
+    assert (
+        run_cli("bpe-encode", "--model", merges, "--in", text, "--unicode", "--out", enc_uni)
+        == 0
+    )
+    assert enc_tok.read_bytes() == enc_uni.read_bytes()
+
+    beyond = tmp_path / "beyond.txt"
+    beyond.write_text(text.read_text(encoding="utf-8") + chr(0x4E00 + 30) + "\n",
+                      encoding="utf-8")
+    assert run_cli("bpe-encode", "--model", merges, "--in", beyond, "--unicode") == 1
+    assert "does not cover max id 30" in capsys.readouterr().err
 
 
 def test_kmeans_fit_and_discretize(tmp_path):
@@ -257,3 +281,41 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "abpe" in proc.stdout
+
+
+def _non_canonical_case(tmp_path, field, bad):
+    """Write inputs with ``bad`` in one integer field; return the argv that reads it."""
+    tok = tmp_path / "c.tok"
+    tok.write_text("#vocab 4\n0 1 2 3\n", encoding="utf-8")
+    model = tmp_path / "m.ngram"
+    NgramModel.train(Corpus([[0, 1, 2, 3]], 4), order=2).save(str(model))
+    if field in ("token", "vocab"):
+        text = f"0 {bad}\n" if field == "token" else f"#vocab {bad}\n0\n"
+        tok.write_text(text, encoding="utf-8")
+        return ["to-unicode", "--in", tok]
+    if field in ("base", "operand"):
+        merges = tmp_path / "m.merges"
+        body = f"#base {bad}\n" if field == "base" else f"#base 4\n0 {bad}\n"
+        merges.write_text("#abpe 1\n" + body, encoding="utf-8")
+        return ["bpe-decode", "--model", merges, "--in", tok]
+    if field == "prompt":
+        return ["continue", "--model", model, "--prompt", f"0 {bad}", "--max-new", 1,
+                "--seed", 0]
+    manifest = tmp_path / "cases.tsv"
+    manifest.write_text(f"q\ta\tc.tok\t1\nq\tb\tc.tok\t{bad}\n", encoding="utf-8")
+    return ["rescore", "--model", model, "--manifest", manifest]
+
+
+@pytest.mark.parametrize("bad", ["1_0", "٣", "-0", "+1", "01", "x"])
+@pytest.mark.parametrize("field", ["token", "vocab", "base", "operand", "prompt", "rank"])
+def test_integer_fields_accept_only_canonical_decimals(tmp_path, capsys, field, bad):
+    argv = _non_canonical_case(tmp_path, field, bad)
+    if field in ("token", "vocab"):
+        with pytest.raises(FormatError, match="malformed integer"):
+            load_tokens(str(argv[-1]))
+    if field in ("base", "operand"):
+        with pytest.raises(FormatError):
+            BpeModel.load(str(argv[2]))
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(bad) in err

@@ -245,6 +245,24 @@ class TestModelFile:
         with pytest.raises(FormatError, match="version"):
             NgramModel.load(str(path))
 
+    def test_unsorted_or_duplicate_triples_rejected(self, tmp_path):
+        import struct
+
+        model = NgramModel.train(Corpus([[0, 1, 0], [1, 1]], 2), order=2, add_k=0.1)
+        blob = model.to_bytes()
+        start = 32 + 8 * model.order + 8  # fixed header, weights, triple count
+        width = 8 * (model.order + 1)
+        rows = [blob[i : i + width] for i in range(start, len(blob), width)]
+        assert len(rows) > 2
+        reordered = blob[:start] + b"".join(reversed(rows))
+        duplicated = bytearray(blob[:start] + rows[0] + b"".join(rows))
+        struct.pack_into("<Q", duplicated, start - 8, len(rows) + 1)
+        for name, corrupted in (("reversed", reordered), ("duplicated", bytes(duplicated))):
+            path = tmp_path / f"{name}.ngram"
+            path.write_bytes(corrupted)
+            with pytest.raises(FormatError, match="strictly increasing"):
+                NgramModel.load(str(path))
+
     def test_custom_weights_roundtrip(self, tmp_path):
         corpus = Corpus([[0, 1, 0, 1, 1]], 2)
         model = NgramModel.train(
