@@ -208,10 +208,12 @@ class BpeModel:
             if not line:
                 continue
             try:
-                left, right = _parse_ids(line)
+                ids = _parse_ids(line)
             except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: expected 'left right': {exc}") from None
-            merges.append((left, right))
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if len(ids) != 2:
+                raise FormatError(f"{path}:{lineno}: expected 'left right'")
+            merges.append((ids[0], ids[1]))
         try:
             return cls(base, merges)
         except ValueError as exc:

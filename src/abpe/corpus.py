@@ -68,15 +68,7 @@ def _parse_id(token: str) -> int:
 
 def _parse_ids(text: str) -> list[int]:
     """Whitespace-separated ids, each in the grammar of ``_parse_id``."""
-    tokens = text.split()
-    try:
-        ids = list(map(int, tokens))
-    except ValueError:
-        ids = None
-    # a non-negative int that prints back as its own token is canonical
-    if ids is not None and list(map(str, ids)) == tokens and (not ids or min(ids) >= 0):
-        return ids
-    return [_parse_id(t) for t in tokens]  # raises at the first bad token
+    return [_parse_id(t) for t in text.split()]
 
 
 def _parse_vocab_header(line: str) -> int:

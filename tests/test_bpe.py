@@ -209,3 +209,10 @@ class TestMergesFile:
         path.write_text("#abpe 9\n#base 2\n0 1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="version"):
             BpeModel.load(str(path))
+
+    @pytest.mark.parametrize("line", ["0 1 2", "5"])
+    def test_merge_line_needs_two_ids(self, tmp_path, line):
+        path = tmp_path / "m.merges"
+        path.write_text(f"#abpe 1\n#base 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":3: expected 'left right'$"):
+            BpeModel.load(str(path))
