@@ -18,7 +18,7 @@ id N+i.
 
 from __future__ import annotations
 
-from .corpus import Corpus, TokenSequence, _parse_id, _parse_ids
+from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -137,11 +137,7 @@ class BpeModel:
 
     def encode(self, seq: TokenSequence) -> TokenSequence:
         """Apply merges in rank order; input must be base-alphabet ids."""
-        for i, t in enumerate(seq):
-            if not 0 <= t < self.base_size:
-                raise ValueError(
-                    f"id {t} at position {i} is outside the base alphabet"
-                )
+        _check_ids(seq, self.base_size, "id {id} at position {pos} is outside the base alphabet")
         out = list(seq)
         for rank, pair in enumerate(self.merges):
             if len(out) < 2:
@@ -152,11 +148,9 @@ class BpeModel:
 
     def decode(self, seq: TokenSequence) -> TokenSequence:
         """Expand merged units back to base tokens."""
-        vocab = self.vocab_size
+        _check_ids(seq, self.vocab_size, "id {id} at position {pos} out of range")
         out: list[int] = []
-        for i, t in enumerate(seq):
-            if not 0 <= t < vocab:
-                raise ValueError(f"id {t} at position {i} out of range")
+        for t in seq:
             if t < self.base_size:
                 out.append(t)
                 continue

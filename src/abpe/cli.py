@@ -333,8 +333,17 @@ def _cmd_metrics_xent(args) -> None:
     )
 
 
-_REQUIRED_INT = {"type": int, "required": True}
-_LO_HI = {"type": int, "nargs": 2, "metavar": ("LO", "HI")}
+def _int_option(text: str) -> int:
+    """An integer option, in the grammar of every integer field in the formats."""
+    try:
+        return _parse_id(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_INT = {"type": _int_option}
+_REQUIRED_INT = {**_INT, "required": True}
+_LO_HI = {**_INT, "nargs": 2, "metavar": ("LO", "HI")}
 
 # options several subcommands share; a bare flag in _SUBCOMMANDS names one
 _SHARED = {
@@ -351,7 +360,7 @@ _SUBCOMMANDS = (
         ("--vocab", _REQUIRED_INT),
         ("--utts", _REQUIRED_INT),
         ("--len", {**_LO_HI, "default": (30, 60)}),
-        ("--motifs", {"type": int, "default": 0}),
+        ("--motifs", {**_INT, "default": 0}),
         ("--motif-len", {**_LO_HI, "default": (3, 6)}),
         ("--motif-rate", {"type": float, "default": 0.0}),
         ("--zipf", {"type": float, "default": 1.3}),
@@ -361,15 +370,15 @@ _SUBCOMMANDS = (
         "--in",
         ("--k", _REQUIRED_INT),
         "--seed",
-        ("--max-iters", {"type": int, "default": 100}),
+        ("--max-iters", {**_INT, "default": 100}),
         ("--tol", {"type": float, "default": 1e-6}),
-        ("--sample-rows", {"type": int, "default": None,
+        ("--sample-rows", {**_INT, "default": None,
                            "help": "fit on a seeded without-replacement row subset of this size"}),
     )),
     ("discretize", "map feature rows to centroid ids", ("--model", "--in")),
     ("to-unicode", "token corpus to one-line-per-utterance text", ("--in",)),
     ("from-unicode", "inverse of to-unicode",
-     ("--in", ("--vocab", {"type": int, "default": None}))),
+     ("--in", ("--vocab", {**_INT, "default": None}))),
     ("bpe-train", "learn a merge list from a corpus",
      ("--in", ("--vocab", _REQUIRED_INT), "--unicode")),
     ("bpe-encode", "apply merges to a base-token corpus", ("--model", "--in", "--unicode")),
@@ -378,7 +387,7 @@ _SUBCOMMANDS = (
     )),
     ("slm-train", "train the n-gram sequence model", (
         "--in",
-        ("--order", {"type": int, "default": 4}),
+        ("--order", {**_INT, "default": 4}),
         ("--add-k", {"type": float, "default": 0.1}),
         ("--weights", {"default": None, "help": "comma-separated, one per order"}),
     )),
@@ -389,8 +398,8 @@ _SUBCOMMANDS = (
         ("--max-new", _REQUIRED_INT),
         "--seed",
         ("--temperature", {"type": float, "default": 1.0}),
-        ("--top-k", {"type": int, "default": None}),
-        ("--num", {"type": int, "default": 1, "help": "continuations (seeds seed..seed+num-1)"}),
+        ("--top-k", {**_INT, "default": None}),
+        ("--num", {**_INT, "default": 1, "help": "continuations (seeds seed..seed+num-1)"}),
     )),
     ("rescore", "pick the best candidate per manifest case", (
         "--model",
@@ -401,9 +410,9 @@ _SUBCOMMANDS = (
     ("metrics-compress", "sequence-length compression report", (
         ("--base", {"required": True}), ("--encoded", {"required": True}),
     )),
-    ("metrics-vert", "n-gram diversity report", ("--in", ("--n", {"type": int, "default": 3}))),
+    ("metrics-vert", "n-gram diversity report", ("--in", ("--n", {**_INT, "default": 3}))),
     ("metrics-syntax", "shuffled-pair discrimination accuracy",
-     ("--model", "--in", ("--block", {"type": int, "default": 1}), "--seed")),
+     ("--model", "--in", ("--block", {**_INT, "default": 1}), "--seed")),
     ("metrics-xent", "cross-entropy of samples under a model", ("--model", "--in")),
 )
 

@@ -8,20 +8,16 @@ merged units stay integers.
 
 from __future__ import annotations
 
+from .corpus import _check_ids
+
 REGION_BASE = 0x4E00
 REGION_LAST = 0x9FFF
 REGION_SIZE = REGION_LAST - REGION_BASE + 1  # 20992
 
 
 def tokens_to_unicode(seq: list[int]) -> str:
-    chars = []
-    for i, t in enumerate(seq):
-        if not 0 <= t < REGION_SIZE:
-            raise ValueError(
-                f"id {t} at position {i} exceeds codec capacity {REGION_SIZE}"
-            )
-        chars.append(chr(REGION_BASE + t))
-    return "".join(chars)
+    _check_ids(seq, REGION_SIZE, "id {id} at position {pos} exceeds codec capacity {limit}")
+    return "".join([chr(REGION_BASE + t) for t in seq])
 
 
 def unicode_to_tokens(text: str) -> list[int]:

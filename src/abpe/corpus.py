@@ -46,17 +46,28 @@ class Corpus:
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         for i, utt in enumerate(self.utterances):
-            for t in utt:
-                if not 0 <= t < self.vocab_size:
-                    raise ValueError(
-                        f"utterance {i}: id {t} outside [0, {self.vocab_size})"
-                    )
+            try:
+                _check_ids(utt, self.vocab_size, "id {id} outside [0, {limit})")
+            except ValueError as exc:
+                raise ValueError(f"utterance {i}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.utterances)
 
     def total_tokens(self) -> int:
         return sum(len(u) for u in self.utterances)
+
+
+def _check_ids(seq, limit: int, message: str) -> None:
+    """Raise ``ValueError`` unless every id in ``seq`` lies in ``[0, limit)``.
+
+    ``message`` is formatted with the first bad ``id``, its position ``pos``
+    and ``limit``. This is the one range check on token-id sequences.
+    """
+    for t in seq:  # a bare loop: faster here than min()/max() or enumerate()
+        if not 0 <= t < limit:
+            pos = list(seq).index(t)  # the first bad id is its first occurrence
+            raise ValueError(message.format(id=t, pos=pos, limit=limit))
 
 
 def _parse_id(token: str) -> int:
@@ -268,7 +279,7 @@ class SynthSpec:
             raise ValueError("motif_rate > 0 requires at least one motif")
         if self.motif_count < 0:
             raise ValueError("motif_count must be >= 0")
-        if self.zipf_exponent < 0.0:
+        if not self.zipf_exponent >= 0.0:
             raise ValueError("zipf_exponent must be >= 0")
 
 

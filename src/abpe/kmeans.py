@@ -120,7 +120,7 @@ class KMeansModel:
             raise ValueError(f"need at least k={k} rows, got {x.shape[0]}")
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if tol < 0:
+        if not tol >= 0:
             raise ValueError("tol must be >= 0")
 
         rng = np.random.default_rng(seed)

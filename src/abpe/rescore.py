@@ -64,11 +64,11 @@ def rescore(
     """
     scores: list[float] = []
     for i, cand in enumerate(candidates.candidates):
-        seq = bpe.encode(cand) if bpe is not None else cand
-        for t in seq:
-            if not 0 <= t < model.vocab_size:
-                raise ValueError(f"candidate {i}: id {t} out of model vocabulary")
-        score = model.logprob(seq)
+        try:
+            seq = bpe.encode(cand) if bpe is not None else cand
+            score = model.logprob(seq)
+        except ValueError as exc:
+            raise ValueError(f"candidate {i}: {exc}") from None
         if length_norm:
             scores.append(score / len(seq))
         else:

@@ -21,7 +21,7 @@ triple count, then (context, event, count) triples as u64s in strictly
 increasing (context, event) order. Context symbols are stored shifted by
 one with 0 for the begin marker; the event id ``vocab_size`` is the
 end-of-sequence event. Only top-order counts are stored; lower orders are
-exact marginals and are rebuilt on load.
+exact marginals, derived by the constructor from the top-order table.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import struct
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence, _unpack_header
+from .corpus import Corpus, TokenSequence, _check_ids, _unpack_header
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -39,6 +39,7 @@ NGRAM_VERSION = 1
 BOS = -1
 
 _FIXED_HEADER = struct.Struct("<8sIQId")
+_OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
 
 
 class NgramModel:
@@ -50,39 +51,44 @@ class NgramModel:
         order: int,
         add_k: float,
         weights: tuple[float, ...],
-        ngram_counts: list[dict[tuple[int, ...], int]],
-        context_counts: list[dict[tuple[int, ...], int]],
+        counts: dict[tuple[int, ...], int],
     ):
+        """Build the model from its top-order ``(context..., event) -> count``
+        table, the one the model file stores (begin marker ``BOS``).
+
+        Every parameter is checked here and nowhere else; the lower orders
+        are derived as exact marginals of ``counts``.
+        """
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         if order < 1:
             raise ValueError("order must be >= 1")
-        if not add_k > 0:
-            raise ValueError("add_k must be > 0")
+        if not 0 < add_k < math.inf:
+            raise ValueError("add_k must be finite and > 0")
         if len(weights) != order:
-            raise ValueError("need one interpolation weight per order")
+            raise ValueError(f"expected {order} interpolation weights, got {len(weights)}")
+        if not all(0 <= w < math.inf for w in weights) or not sum(weights) > 0:
+            raise ValueError(
+                "interpolation weights must be finite and non-negative with positive sum"
+            )
         self.vocab_size = vocab_size
         self.order = order
         self.add_k = float(add_k)
         self.weights = tuple(float(w) for w in weights)
-        self._ngram_counts = ngram_counts
-        self._context_counts = context_counts
+        self._ngram_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
+        self._context_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
+        # order o + 1 keeps the last o context symbols of each top-order key
+        levels = [(order - 1 - o, self._ngram_counts[o], self._context_counts[o])
+                  for o in range(order)]
+        for top, cnt in counts.items():
+            for skip, grams, ctxs in levels:
+                gram, ctx = top[skip:], top[skip:-1]
+                grams[gram] = grams.get(gram, 0) + cnt
+                ctxs[ctx] = ctxs.get(ctx, 0) + cnt
 
     @property
     def eos_id(self) -> int:
         return self.vocab_size
-
-    @staticmethod
-    def _normalize_weights(order: int, weights) -> tuple[float, ...]:
-        if weights is None:
-            return (1.0 / order,) * order
-        ws = [float(w) for w in weights]
-        if len(ws) != order:
-            raise ValueError(f"expected {order} interpolation weights, got {len(ws)}")
-        if any(w < 0 for w in ws) or sum(ws) <= 0:
-            raise ValueError("interpolation weights must be non-negative with positive sum")
-        total = sum(ws)
-        return tuple(w / total for w in ws)
 
     @classmethod
     def train(
@@ -92,36 +98,26 @@ class NgramModel:
         add_k: float = 0.1,
         interpolation_weights=None,
     ) -> "NgramModel":
-        """Collect n-gram counts (begin-padded, one end event per utterance)."""
+        """Collect n-gram counts (begin-padded, one end event per utterance).
+
+        ``interpolation_weights`` (uniform when None) are scaled to sum to one.
+        """
         if not corpus.utterances:
             raise ValueError("cannot train on an empty corpus")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not add_k > 0:
-            raise ValueError("add_k must be > 0")
-        weights = cls._normalize_weights(order, interpolation_weights)
-        eos = corpus.vocab_size
-        ngram_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-        context_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
+        if interpolation_weights is None:
+            interpolation_weights = [1.0] * order
+        weights = tuple(float(w) for w in interpolation_weights)
+        total = sum(weights)
+        if total > 0:  # otherwise the constructor rejects the weights as given
+            weights = tuple(w / total for w in weights)
         pad = [BOS] * (order - 1)
+        counts: dict[tuple[int, ...], int] = {}
         for utt in corpus.utterances:
-            symbols = pad + list(utt)
-            events = list(utt) + [eos]
-            for j, e in enumerate(events):
-                full = tuple(symbols[j : j + order - 1])
-                for o in range(1, order + 1):
-                    sub = full[order - o :]
-                    grams = ngram_counts[o - 1]
-                    ctxs = context_counts[o - 1]
-                    key = sub + (e,)
-                    grams[key] = grams.get(key, 0) + 1
-                    ctxs[sub] = ctxs.get(sub, 0) + 1
-        return cls(corpus.vocab_size, order, add_k, weights, ngram_counts, context_counts)
-
-    def _check_ids(self, seq) -> None:
-        for i, t in enumerate(seq):
-            if not 0 <= t < self.vocab_size:
-                raise ValueError(f"id {t} at position {i} out of vocabulary")
+            stream = pad + list(utt) + [corpus.vocab_size]
+            for j in range(len(stream) - order + 1):
+                key = tuple(stream[j : j + order])
+                counts[key] = counts.get(key, 0) + 1
+        return cls(corpus.vocab_size, order, add_k, weights, counts)
 
     def _cond_prob(self, ctx: tuple[int, ...], event: int) -> float:
         smooth_mass = self.add_k * (self.vocab_size + 1)
@@ -139,7 +135,7 @@ class NgramModel:
 
     def logprob(self, seq: TokenSequence) -> float:
         """Natural-log probability of ``seq`` including its end event."""
-        self._check_ids(seq)
+        _check_ids(seq, self.vocab_size, _OUT_OF_VOCAB)
         ctx = (BOS,) * (self.order - 1)
         total = 0.0
         for x in seq:
@@ -150,7 +146,7 @@ class NgramModel:
 
     def next_dist(self, context: TokenSequence) -> np.ndarray:
         """Distribution over vocab + end event given the last order-1 tokens."""
-        self._check_ids(context)
+        _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
         ctx = self._pad_context(context)
         probs = np.empty(self.vocab_size + 1, dtype=np.float64)
         for e in range(self.vocab_size + 1):
@@ -172,17 +168,18 @@ class NgramModel:
         0 selects greedy decoding (iterated argmax, lowest id on ties).
         ``top_k`` keeps the k most probable events before renormalizing.
         """
-        self._check_ids(prompt)
+        _check_ids(prompt, self.vocab_size, _OUT_OF_VOCAB)
         if max_new < 0:
             raise ValueError("max_new must be >= 0")
-        if temperature < 0:
+        if not temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if top_k is not None and top_k < 1:
             raise ValueError("top_k must be >= 1")
         out = list(prompt)
         rng = np.random.default_rng(seed)
+        window = self.order - 1  # next_dist reads only this many tokens
         for _ in range(max_new):
-            probs = self.next_dist(out)
+            probs = self.next_dist(out[-window:] if window else [])
             event = self._sample_event(probs, rng, temperature, top_k)
             if event == self.eos_id:
                 break
@@ -240,8 +237,6 @@ class NgramModel:
         vocab_size, order, add_k = _unpack_header(
             blob, _FIXED_HEADER, NGRAM_MAGIC, NGRAM_VERSION, path
         )
-        if vocab_size < 1 or order < 1 or not add_k > 0:
-            raise FormatError(f"{path}: invalid model parameters")
         offset = _FIXED_HEADER.size
         try:
             weights = struct.unpack_from(f"<{order}d", blob, offset)
@@ -250,14 +245,11 @@ class NgramModel:
             offset += 8
         except struct.error:
             raise FormatError(f"{path}: truncated header fields") from None
-        if any(not math.isfinite(w) or w < 0 for w in weights) or sum(weights) <= 0:
-            raise FormatError(f"{path}: invalid interpolation weights")
         row = struct.Struct(f"<{order + 1}Q")
         if len(blob) != offset + n_triples * row.size:
             raise FormatError(f"{path}: payload size mismatch")
 
-        ngram_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-        context_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
+        counts: dict[tuple[int, ...], int] = {}
         previous: tuple[int, ...] = ()
         for values in row.iter_unpack(memoryview(blob)[offset:]):
             # one encoding per model: (context, event) keys strictly increase
@@ -278,14 +270,8 @@ class NgramModel:
                     seen_real = True
                 elif seen_real:
                     raise FormatError(f"{path}: begin marker after a real token")
-            for o in range(1, order + 1):
-                sub = full[order - o :]
-                grams = ngram_counts[o - 1]
-                ctxs = context_counts[o - 1]
-                key = sub + (event,)
-                grams[key] = grams.get(key, 0) + cnt
-                ctxs[sub] = ctxs.get(sub, 0) + cnt
-        return cls(
-            int(vocab_size), int(order), float(add_k), tuple(weights),
-            ngram_counts, context_counts,
-        )
+            counts[full + (event,)] = cnt
+        try:
+            return cls(vocab_size, order, add_k, weights, counts)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None

@@ -319,3 +319,42 @@ def test_integer_fields_accept_only_canonical_decimals(tmp_path, capsys, field, 
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", ["1_0", "٣", "-1", "-0", "+1", "01", "x"])
+@pytest.mark.parametrize("option", ["--seed", "--len", "--motifs"])
+def test_integer_options_accept_only_canonical_decimals(capsys, option, bad):
+    values = {"--vocab": "10", "--utts": "2", "--seed": "1", "--len": "5 6", "--motifs": "0"}
+    values[option] = f"5 {bad}" if option == "--len" else bad
+    argv = ["synth"] + [a for flag, v in values.items() for a in (flag, *v.split())]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("continue", ["--temperature", "nan"]),
+    ("synth", ["--zipf", "nan"]),
+    ("kmeans-fit", ["--tol", "nan"]),
+    ("slm-train", ["--add-k", "inf"]),
+    ("slm-train", ["--weights", "nan,1"]),
+    ("slm-train", ["--weights", "inf,1"]),
+])
+def test_non_finite_parameters_fail_cleanly(tmp_path, capsys, sub, extra):
+    src, feats, model = tmp_path / "c.tok", tmp_path / "f.bin", tmp_path / "m.ngram"
+    save_tokens(Corpus([[0, 1, 0], [1, 1]], 2), str(src))
+    save_features(np.arange(8.0).reshape(4, 2), str(feats))
+    NgramModel.train(load_tokens(str(src)), order=2).save(str(model))
+    inputs = {
+        "continue": ["--model", model, "--prompt", "0", "--max-new", 3, "--seed", 0],
+        "synth": ["--vocab", 5, "--utts", 2, "--seed", 0],
+        "kmeans-fit": ["--in", feats, "--k", 2, "--seed", 0],
+        "slm-train": ["--in", src, "--order", 2],
+    }
+    out = tmp_path / "out"
+    assert run_cli(sub, *inputs[sub], *extra, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

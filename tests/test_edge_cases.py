@@ -1,15 +1,21 @@
 """Cross-module stress cases around the trickier contract corners."""
 
+import re
+
 import numpy as np
 import pytest
 
 from abpe import (
+    REGION_SIZE,
     BpeModel,
+    CandidateSet,
     Corpus,
     KMeansModel,
     NgramModel,
     load_tokens,
+    rescore,
     save_tokens,
+    tokens_to_unicode,
 )
 from abpe.cli import main
 
@@ -154,3 +160,43 @@ def test_weights_flag_changes_model(tmp_path):
     assert ma.weights == (0.5, 0.5)
     assert mb.weights == (0.9, 0.1)
     assert ma.logprob([0, 1]) != mb.logprob([0, 1])
+
+
+_BPE = BpeModel(3, [(0, 1)])
+_LM = NgramModel.train(Corpus([[0, 1, 2]], 3), order=2)
+
+# site, its id limit, a call on a sequence, and the message for a bad id at position 1
+_ID_SITES = {
+    "Corpus": (3, lambda s: Corpus([[0], s], 3), "utterance 1: id {id} outside [0, 3)"),
+    "encode": (3, _BPE.encode, "id {id} at position 1 is outside the base alphabet"),
+    "decode": (4, _BPE.decode, "id {id} at position 1 out of range"),
+    "logprob": (3, _LM.logprob, "id {id} at position 1 out of vocabulary"),
+    "next_dist": (3, _LM.next_dist, "id {id} at position 1 out of vocabulary"),
+    "generate": (3, lambda s: _LM.generate(s, 1, seed=0),
+                 "id {id} at position 1 out of vocabulary"),
+    "tokens_to_unicode": (REGION_SIZE, tokens_to_unicode,
+                          "id {id} at position 1 exceeds codec capacity 20992"),
+    "rescore": (3, lambda s: rescore(_LM, CandidateSet([[0], s])),
+                "candidate 1: id {id} at position 1 out of vocabulary"),
+    "rescore-bpe": (3, lambda s: rescore(_LM, CandidateSet([[0], s]), bpe=_BPE),
+                    "candidate 1: id {id} at position 1 is outside the base alphabet"),
+}
+
+
+@pytest.mark.parametrize("side", ["negative", "limit"])
+@pytest.mark.parametrize("site", list(_ID_SITES))
+def test_every_id_check_site_rejects_out_of_range(site, side):
+    limit, call, message = _ID_SITES[site]
+    bad = -1 if side == "negative" else limit
+    call([0, limit - 1])
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(id=bad)) + "$"):
+        call([0, bad])
+
+
+def test_check_ids_names_the_first_bad_id():
+    from abpe.corpus import _check_ids
+
+    _check_ids([], 0, "unused")
+    _check_ids((0, 2), 3, "unused")
+    with pytest.raises(ValueError, match=r"^5 at 1 below 3$"):
+        _check_ids([0, 5, -1, 7], 3, "{id} at {pos} below {limit}")

@@ -152,6 +152,29 @@ def test_train_rejects_bad_params():
         NgramModel.train(corpus, order=2, add_k=0.1, interpolation_weights=[1.0])
 
 
+@pytest.mark.parametrize("add_k, weights", [
+    (0.1, [math.nan, 1.0]),
+    (0.1, [math.inf, 1.0]),
+    (math.inf, None),
+    (math.nan, None),
+])
+def test_train_rejects_non_finite_params(add_k, weights):
+    with pytest.raises(ValueError, match="add_k|interpolation weights"):
+        NgramModel.train(Corpus([[0, 1]], 2), order=2, add_k=add_k,
+                         interpolation_weights=weights)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_generate_matches_greedy_oracle_at_every_order(order):
+    rng = np.random.default_rng(38)
+    corpus = random_small_corpus(rng, max_vocab=5, max_utts=10, max_len=12)
+    model = NgramModel.train(corpus, order=order, add_k=0.05)
+    for length in range(7):
+        prompt = [int(t) for t in rng.integers(0, corpus.vocab_size, size=length)]
+        got = model.generate(prompt, 12, seed=0, temperature=0.0)
+        assert got == greedy_continuation(model, prompt, 12)
+
+
 class TestGenerate:
     def setup_method(self):
         rng = np.random.default_rng(35)
@@ -262,6 +285,17 @@ class TestModelFile:
             path.write_bytes(corrupted)
             with pytest.raises(FormatError, match="strictly increasing"):
                 NgramModel.load(str(path))
+
+    @pytest.mark.parametrize("offset, value", [(24, math.inf), (24, math.nan), (32, math.nan)])
+    def test_non_finite_parameters_rejected(self, tmp_path, offset, value):
+        import struct
+
+        blob = bytearray(NgramModel.train(Corpus([[0, 1, 0]], 2), order=2).to_bytes())
+        struct.pack_into("<d", blob, offset, value)  # add_k, then the first weight
+        path = tmp_path / "m.ngram"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="add_k|interpolation weights"):
+            NgramModel.load(str(path))
 
     def test_custom_weights_roundtrip(self, tmp_path):
         corpus = Corpus([[0, 1, 0, 1, 1]], 2)
