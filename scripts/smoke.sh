@@ -73,4 +73,21 @@ done
 "$PY" -m abpe rescore --model "$OUT/slm.ngram" --manifest "$OUT/cases.tsv" \
     --bpe "$OUT/units.merges" --out "$OUT/rescore.txt"
 
+# the --help of abpe and of every subcommand, at a fixed width, so that the
+# byte-identity check covers the command-line surface too
+COLUMNS=80 "$PY" - "$OUT/help.txt" <<'PYEOF'
+import contextlib
+import io
+import sys
+from abpe.cli import _SUBCOMMANDS, main
+
+text = io.StringIO()
+for argv in [[]] + [[name] for name, _, _ in _SUBCOMMANDS]:
+    print("$ abpe " + " ".join(argv + ["--help"]), file=text)
+    with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
+        main(argv + ["--help"])
+with open(sys.argv[1], "w", encoding="utf-8", newline="") as fh:
+    fh.write(text.getvalue())
+PYEOF
+
 echo "smoke pipeline complete: $OUT" >&2

@@ -28,7 +28,6 @@ from .kmeans import KMeansModel
 from .metrics import (
     CompressionReport,
     CrossEntropyReport,
-    SyntaxPair,
     VertReport,
     auto_bleu,
     compression_stats,
@@ -54,7 +53,6 @@ __all__ = [
     "REGION_SIZE",
     "RescoreResult",
     "SynthSpec",
-    "SyntaxPair",
     "TokenSequence",
     "VertReport",
     "auto_bleu",

@@ -18,7 +18,7 @@ id N+i.
 
 from __future__ import annotations
 
-from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids
+from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids, _read_lines
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -182,8 +182,7 @@ class BpeModel:
 
     @classmethod
     def load(cls, path: str) -> "BpeModel":
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = _read_lines(path)
         if len(lines) < 2 or not lines[0].startswith("#abpe"):
             raise FormatError(f"{path}: missing '#abpe' header")
         parts = lines[0].split()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .corpus import (
     _parse_id,
     _parse_ids,
     _read_corpus,
+    _read_lines,
     dump_tokens,
     load_features,
     load_tokens,
@@ -194,8 +196,7 @@ def _cmd_continue(args) -> None:
 
 def _read_manifest(path: str):
     """Parse the candidate manifest TSV into ordered per-case groups."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_lines(path)
     cases: dict[str, list[tuple[str, str, int | None]]] = {}
     base = os.path.dirname(os.path.abspath(path))
     for lineno, raw in enumerate(lines, start=1):
@@ -236,36 +237,27 @@ def _load_candidate(token_path: str) -> list[int]:
 def _cmd_rescore(args) -> None:
     model = NgramModel.load(args.model)
     bpe = BpeModel.load(args.bpe) if args.bpe else None
-    cases = _read_manifest(args.manifest)
     out_lines = []
     results = []
     rank_sets = []
-    all_ranked = True
-    for case_id, rows in cases:
-        cand_ids = [r[0] for r in rows]
-        candidates = [_load_candidate(r[1]) for r in rows]
-        ranks = [r[2] for r in rows]
-        if any(r is None for r in ranks):
-            all_ranked = False
-            cand_set = CandidateSet(candidates)
-        else:
-            cand_set = CandidateSet(candidates, list(ranks))
+    for case_id, rows in _read_manifest(args.manifest):
+        cand_ids, paths, ranks = zip(*rows)
+        ranks = None if None in ranks else list(ranks)
+        cand_set = CandidateSet([_load_candidate(p) for p in paths], ranks)
         result = rescore(model, cand_set, length_norm=args.length_norm, bpe=bpe)
         results.append(result)
-        if all_ranked:
-            rank_sets.append(list(ranks))
+        rank_sets.append(ranks)
         out_lines.append(
             f"case={case_id} best_index={result.best_index} "
             f"candidate={cand_ids[result.best_index]} "
             f"score={result.scores[result.best_index]!r}"
         )
-    if all_ranked:
-        max_x = min(len(rs) for rs in rank_sets)
-        for x in range(1, max_x + 1):
+    if None in rank_sets:
+        print("ranks missing; top-x table skipped", file=sys.stderr)
+    else:
+        for x in range(1, min(map(len, rank_sets)) + 1):
             acc = topx_accuracy(results, rank_sets, x)
             out_lines.append(f"topx x={x} accuracy={acc!r}")
-    else:
-        print("ranks missing; top-x table skipped", file=sys.stderr)
     _write("\n".join(out_lines) + "\n", args.out)
 
 
@@ -273,31 +265,13 @@ def _cmd_metrics_compress(args) -> None:
     base = load_tokens(args.base)
     encoded = load_tokens(args.encoded)
     report = compression_stats(base, encoded, encoded.vocab_size)
-    _emit_metric(
-        "metrics-compress",
-        {
-            "avg_len_base": report.avg_len_base,
-            "avg_len_encoded": report.avg_len_encoded,
-            "ratio": report.ratio,
-            "vocab_size": report.vocab_size,
-        },
-        args.out,
-    )
+    _emit_metric("metrics-compress", asdict(report), args.out)
 
 
 def _cmd_metrics_vert(args) -> None:
     corpus = load_tokens(args.infile)
     report = vert(corpus.utterances, args.n)
-    _emit_metric(
-        "metrics-vert",
-        {
-            "n": report.n,
-            "self_bleu": report.self_bleu,
-            "auto_bleu": report.auto_bleu,
-            "vert": report.vert,
-        },
-        args.out,
-    )
+    _emit_metric("metrics-vert", asdict(report), args.out)
 
 
 def _cmd_metrics_syntax(args) -> None:
@@ -326,11 +300,7 @@ def _cmd_metrics_xent(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
     report = cross_entropy(corpus.utterances, model)
-    _emit_metric(
-        "metrics-xent",
-        {"n_samples": report.n_samples, "entropy": report.entropy},
-        args.out,
-    )
+    _emit_metric("metrics-xent", asdict(report), args.out)
 
 
 def _int_option(text: str) -> int:

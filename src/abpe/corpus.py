@@ -92,6 +92,15 @@ def _parse_vocab_header(line: str) -> int:
     return vocab
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file (newlines as in text mode); other bytes are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
     """The line loop every corpus reader shares.
 
@@ -102,8 +111,7 @@ def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -
     given or from the header, must cover every id; without one it is
     ``1 + max(id)``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_lines(path)
     utterances: list[TokenSequence] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -226,20 +234,12 @@ def load_features(path: str) -> FeatureMatrix:
     return _parse_feature_csv(text, path)
 
 
-def save_features(values: FeatureMatrix, path: str, fmt: str = "binary") -> None:
-    """Write a feature matrix as ``binary`` (float32 payload) or ``csv``."""
+def save_features(values: FeatureMatrix, path: str) -> None:
+    """Write a feature matrix in the binary format (float32 payload)."""
     arr = np.asarray(values, dtype=np.float64)
     _check_matrix(arr, path)
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, arr))
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for row in arr:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
-    else:
-        raise ValueError(f"unknown feature format {fmt!r}")
+    with open(path, "wb") as fh:
+        fh.write(_pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, arr))
 
 
 @dataclass(frozen=True)

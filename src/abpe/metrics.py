@@ -28,12 +28,6 @@ class CompressionReport:
 
 
 @dataclass(frozen=True)
-class SyntaxPair:
-    correct: TokenSequence
-    corrupted: TokenSequence
-
-
-@dataclass(frozen=True)
 class VertReport:
     n: int
     self_bleu: float
@@ -62,15 +56,9 @@ def compression_stats(base: Corpus, encoded: Corpus, vocab_size: int) -> Compres
     return CompressionReport(avg_base, avg_encoded, avg_base / avg_encoded, vocab_size)
 
 
-def _pair_fields(pair) -> tuple[TokenSequence, TokenSequence]:
-    if isinstance(pair, SyntaxPair):
-        return pair.correct, pair.corrupted
-    correct, corrupted = pair
-    return correct, corrupted
-
-
 def syntax_accuracy(model, pairs) -> float:
-    """Fraction of pairs whose correct member scores strictly higher.
+    """Fraction of ``(correct, corrupted)`` pairs whose correct member scores
+    strictly higher.
 
     Ties count as incorrect.
     """
@@ -78,8 +66,7 @@ def syntax_accuracy(model, pairs) -> float:
     if not pairs:
         raise ValueError("no syntax pairs")
     hits = 0
-    for pair in pairs:
-        correct, corrupted = _pair_fields(pair)
+    for correct, corrupted in pairs:
         if model.logprob(correct) > model.logprob(corrupted):
             hits += 1
     return hits / len(pairs)

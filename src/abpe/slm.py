@@ -195,7 +195,12 @@ class NgramModel:
     ) -> int:
         if temperature == 0.0:
             return int(np.argmax(probs))
-        logits = np.log(probs) / temperature
+        log_probs = np.log(probs)
+        with np.errstate(over="ignore"):
+            logits = log_probs / temperature
+        if logits.max() == -np.inf:
+            # every logit overflowed: as at a tiny finite temperature, draw evenly among the likeliest
+            logits = np.where(log_probs == log_probs.max(), 0.0, -np.inf)
         if top_k is not None and top_k < logits.size:
             keep = np.argsort(-logits, kind="stable")[:top_k]
             mask = np.full(logits.size, -np.inf)

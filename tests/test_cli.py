@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_kmeans_fit_and_discretize(tmp_path):
 def test_kmeans_fit_sample_rows(tmp_path):
     rng = np.random.default_rng(6)
     fpath = tmp_path / "f.csv"
-    save_features(rng.random((50, 2)), str(fpath), fmt="csv")
+    np.savetxt(fpath, rng.random((50, 2)), delimiter=",")
     km = tmp_path / "km.bin"
     assert (
         run_cli(
@@ -358,3 +359,91 @@ def test_non_finite_parameters_fail_cleanly(tmp_path, capsys, sub, extra):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("top_k", [[], ["--top-k", 2]])
+def test_tiny_temperature_samples_like_a_small_finite_one(tmp_path, capsys, top_k):
+    # events 1 and 2 tie after 0, so the draw between them uses the rng
+    src, model = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(Corpus([[0, 1], [0, 2]], 3), str(src))
+    assert run_cli("slm-train", "--in", src, "--order", 2, "--out", model) == 0
+    outputs = []
+    for temperature in ("1e-320", "1e-300"):
+        argv = ["continue", "--model", model, "--prompt", "", "--max-new", 4,
+                "--seed", 3, "--num", 8, "--temperature", temperature, *top_k]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert {line.split()[1] for line in outputs[0].splitlines()[1:]} == {"1", "2"}
+
+
+def test_metrics_reports_print_every_field(tmp_path, capsys):
+    base, enc, text = tmp_path / "b.tok", tmp_path / "e.tok", tmp_path / "t.tok"
+    save_tokens(Corpus([[0, 1, 0, 1], [2, 2]], 3), str(base))
+    save_tokens(Corpus([[3, 3], [2, 2]], 4), str(enc))
+    save_tokens(Corpus([[0, 1, 0, 1], [0, 1, 2, 2]], 3), str(text))
+    assert run_cli("metrics-compress", "--base", base, "--encoded", enc) == 0
+    assert capsys.readouterr().out == (
+        "metrics-compress avg_len_base=3.0 avg_len_encoded=2.0 ratio=1.5 vocab_size=4\n"
+        "avg_len_base     3.0000\n"
+        "avg_len_encoded  2.0000\n"
+        "ratio            1.5000\n"
+        "vocab_size       4\n"
+    )
+    # n=2: self-BLEU and auto-BLEU are both 1/3 by hand count
+    assert run_cli("metrics-vert", "--in", text, "--n", 2) == 0
+    assert capsys.readouterr().out == (
+        "metrics-vert n=2 self_bleu=0.3333333333333333 auto_bleu=0.3333333333333333 "
+        "vert=33.33333333333333\n"
+        "n          2\n"
+        "self_bleu  0.3333\n"
+        "auto_bleu  0.3333\n"
+        "vert       33.3333\n"
+    )
+    model = tmp_path / "m.ngram"
+    assert run_cli("slm-train", "--in", text, "--order", 2, "--out", model) == 0
+    assert run_cli("metrics-xent", "--model", model, "--in", text) == 0
+    lm = NgramModel.load(str(model))
+    entropy = -(lm.logprob([0, 1, 0, 1]) + lm.logprob([0, 1, 2, 2])) / 2
+    assert capsys.readouterr().out == (
+        f"metrics-xent n_samples=2 entropy={entropy!r}\n"
+        "n_samples  2\n"
+        f"entropy    {entropy:.4f}\n"
+    )
+
+
+def _rescore_inputs(tmp_path, manifest_rows):
+    src, model = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(Corpus([[0, 1, 0, 1], [0, 1]], 2), str(src))
+    NgramModel.train(load_tokens(str(src)), order=2).save(str(model))
+    for name, seq in (("a", [0, 1, 0, 1]), ("b", [1, 0, 1, 0]), ("c", [1, 1, 1, 1])):
+        save_tokens(Corpus([seq], 2), str(tmp_path / f"{name}.tok"))
+    manifest = tmp_path / "cases.tsv"
+    manifest.write_text("".join("\t".join(row) + "\n" for row in manifest_rows),
+                        encoding="utf-8")
+    return ["rescore", "--model", model, "--manifest", manifest]
+
+
+def test_rescore_skips_topx_when_a_rank_is_missing(tmp_path, capsys):
+    argv = _rescore_inputs(tmp_path, [
+        ("q1", "a", "a.tok", "1"), ("q1", "b", "b.tok", "2"),
+        ("q2", "a", "a.tok", "1"), ("q2", "c", "c.tok"),
+    ])
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "ranks missing; top-x table skipped\n"
+    assert [line.split()[0] for line in captured.out.splitlines()] == ["case=q1", "case=q2"]
+
+
+def test_rescore_topx_runs_to_the_smallest_case(tmp_path, capsys):
+    argv = _rescore_inputs(tmp_path, [
+        ("q1", "a", "a.tok", "2"), ("q1", "b", "b.tok", "1"),
+        ("q2", "a", "a.tok", "1"), ("q2", "b", "b.tok", "3"), ("q2", "c", "c.tok", "2"),
+    ])
+    assert run_cli(*argv) == 0
+    topx = [line for line in capsys.readouterr().out.splitlines() if line.startswith("topx")]
+    assert topx == ["topx x=1 accuracy=0.5", "topx x=2 accuracy=1.0"]

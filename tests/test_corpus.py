@@ -100,7 +100,7 @@ class TestFeatureFiles:
         rng = np.random.default_rng(3)
         values = rng.random((17, 5))
         path = tmp_path / "f.bin"
-        save_features(values, str(path), fmt="binary")
+        save_features(values, str(path))
         loaded = load_features(str(path))
         assert loaded.shape == (17, 5)
         assert np.abs(loaded - values).max() < 1e-6
@@ -109,8 +109,8 @@ class TestFeatureFiles:
         rng = np.random.default_rng(4)
         values = rng.random((9, 4))
         pb, pc = tmp_path / "f.bin", tmp_path / "f.csv"
-        save_features(values, str(pb), fmt="binary")
-        save_features(values, str(pc), fmt="csv")
+        save_features(values, str(pb))
+        np.savetxt(pc, values, delimiter=",")
         assert np.abs(load_features(str(pb)) - load_features(str(pc))).max() < 1e-6
 
     def test_binary_zero_rows_rejected(self, tmp_path):

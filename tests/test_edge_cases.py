@@ -10,14 +10,17 @@ from abpe import (
     BpeModel,
     CandidateSet,
     Corpus,
+    FormatError,
     KMeansModel,
     NgramModel,
     load_tokens,
     rescore,
     save_tokens,
     tokens_to_unicode,
+    unicode_to_tokens,
 )
-from abpe.cli import main
+from abpe.cli import _read_manifest, main
+from abpe.corpus import _read_corpus
 
 from oracles import random_small_corpus
 
@@ -200,3 +203,35 @@ def test_check_ids_names_the_first_bad_id():
     _check_ids((0, 2), 3, "unused")
     with pytest.raises(ValueError, match=r"^5 at 1 below 3$"):
         _check_ids([0, 5, -1, 7], 3, "{id} at {pos} below {limit}")
+
+
+_NOT_UTF8 = b"0 1\r\n\xff 2\n"  # the bad byte is byte 5 of the file
+
+
+@pytest.mark.parametrize("loader", [
+    load_tokens,
+    lambda path: _read_corpus(path, unicode_to_tokens),
+    BpeModel.load,
+    _read_manifest,
+], ids=["tokens", "unicode", "merges", "manifest"])
+def test_text_loaders_reject_non_utf8(tmp_path, loader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_NOT_UTF8)
+    message = f"{path}: not UTF-8 text (byte 5)"
+    with pytest.raises(FormatError, match="^" + re.escape(message) + "$"):
+        loader(str(path))
+
+
+@pytest.mark.parametrize("sub, flag", [
+    ("to-unicode", "--in"),
+    ("from-unicode", "--in"),
+    ("bpe-decode", "--model"),
+    ("rescore", "--manifest"),
+])
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, sub, flag):
+    bad, model = tmp_path / "bad.txt", tmp_path / "m.ngram"
+    bad.write_bytes(_NOT_UTF8)
+    _LM.save(str(model))
+    argv = {"--in": [], "--model": ["--in", bad], "--manifest": ["--model", model]}[flag]
+    assert main([sub, flag, str(bad), *map(str, argv)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 5)\n"

@@ -7,7 +7,6 @@ import pytest
 from abpe import (
     Corpus,
     NgramModel,
-    SyntaxPair,
     auto_bleu,
     compression_stats,
     cross_entropy,
@@ -60,12 +59,12 @@ class TestSyntaxAccuracy:
 
     def test_higher_scored_correct_counts(self):
         model = self.make_model()
-        pairs = [SyntaxPair([0, 1, 2, 3], [3, 1, 0, 2])]
+        pairs = [([0, 1, 2, 3], [3, 1, 0, 2])]
         assert syntax_accuracy(model, pairs) == 1.0
 
     def test_tie_counts_incorrect(self):
         model = self.make_model()
-        pairs = [SyntaxPair([0, 1, 2, 3], [0, 1, 2, 3])]
+        pairs = [([0, 1, 2, 3], [0, 1, 2, 3])]
         assert syntax_accuracy(model, pairs) == 0.0
 
     def test_swap_maps_accuracy_to_complement_minus_ties(self):
@@ -79,11 +78,11 @@ class TestSyntaxAccuracy:
             b = [int(t) for t in rng.integers(0, corpus.vocab_size, size=6)]
             if rng.random() < 0.2:
                 b = list(a)
-            pairs.append(SyntaxPair(a, b))
+            pairs.append((a, b))
             if model.logprob(a) == model.logprob(b):
                 ties += 1
         acc = syntax_accuracy(model, pairs)
-        swapped = syntax_accuracy(model, [SyntaxPair(p.corrupted, p.correct) for p in pairs])
+        swapped = syntax_accuracy(model, [(b, a) for a, b in pairs])
         assert swapped == pytest.approx(1.0 - acc - ties / len(pairs))
 
     def test_plain_tuples_accepted(self):
