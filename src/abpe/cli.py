@@ -49,14 +49,32 @@ _VERSION_TEXT = (
 
 
 def _write(data: str | bytes, out: str | None) -> None:
-    """Send an artifact to the ``out`` path, or to stdout when it is None."""
-    if out is not None:
+    """Send an artifact to the ``out`` path, or to stdout when it is None.
+
+    A file is written whole or not at all: the bytes go to a temporary file
+    beside it, which then replaces it. Devices and pipes are written directly.
+    """
+    if out is None:
+        if isinstance(data, bytes):
+            sys.stdout.buffer.write(data)
+        else:
+            sys.stdout.write(data)
+        return
+    blob = data if isinstance(data, bytes) else data.encode("utf-8")
+    if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "wb") as fh:
-            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
-    elif isinstance(data, bytes):
-        sys.stdout.buffer.write(data)
-    else:
-        sys.stdout.write(data)
+            fh.write(blob)
+        return
+    target = os.path.realpath(out)  # through a symlink, as opening it would
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(blob)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fmt_value(v) -> str:

@@ -11,6 +11,14 @@ estimates, every one of them smoothed across the full event space
 (vocabulary plus end-of-sequence), so all conditionals are strictly
 positive and each distribution sums to one.
 
+Counts live in one table per order: context -> (context total,
+``{event: count}``). ``logprob`` reads them with at most two lookups per
+order. ``next_dist`` fills an add-k array per order, scatters count + add-k
+over the events of the context's row and adds the weighted ratio, which
+gives ``logprob``'s floats bit for bit. A context's event-id and numerator
+arrays are built the first time ``next_dist`` meets it and kept; they are
+never serialised.
+
 Anything with ``logprob``/``next_dist``/``generate`` and a ``vocab_size``
 can stand in for this class downstream; nothing else in the package
 depends on the count-based internals.
@@ -40,6 +48,7 @@ BOS = -1
 
 _FIXED_HEADER = struct.Struct("<8sIQId")
 _OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
+_UNSEEN: tuple[int, dict[int, int]] = (0, {})
 
 
 class NgramModel:
@@ -75,16 +84,25 @@ class NgramModel:
         self.order = order
         self.add_k = float(add_k)
         self.weights = tuple(float(w) for w in weights)
-        self._ngram_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-        self._context_counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-        # order o + 1 keeps the last o context symbols of each top-order key
-        levels = [(order - 1 - o, self._ngram_counts[o], self._context_counts[o])
-                  for o in range(order)]
+        # order i + 1: the last i context symbols -> (context total, {event: count})
+        tables: list[dict] = [{} for _ in range(order)]
+        levels = [(order - 1 - i, tables[i]) for i in range(order)]
         for top, cnt in counts.items():
-            for skip, grams, ctxs in levels:
-                gram, ctx = top[skip:], top[skip:-1]
-                grams[gram] = grams.get(gram, 0) + cnt
-                ctxs[ctx] = ctxs.get(ctx, 0) + cnt
+            event = top[-1]
+            for skip, table in levels:
+                ctx = top[skip:-1]
+                row = table.get(ctx)
+                if row is None:
+                    table[ctx] = {event: cnt}
+                else:
+                    row[event] = row.get(event, 0) + cnt
+        for table in tables:
+            for ctx, row in table.items():  # replaces values only, so iterating is safe
+                table[ctx] = (sum(row.values()), row)
+        self._tables = tables
+        # order i + 1: context -> (event ids, count + add_k, denominator), made when
+        # next_dist first meets the context; never serialised
+        self._arrays: list[dict] = [{} for _ in range(order)]
 
     @property
     def eos_id(self) -> int:
@@ -122,11 +140,9 @@ class NgramModel:
     def _cond_prob(self, ctx: tuple[int, ...], event: int) -> float:
         smooth_mass = self.add_k * (self.vocab_size + 1)
         p = 0.0
-        for o in range(1, self.order + 1):
-            sub = ctx[self.order - o :]
-            num = self._ngram_counts[o - 1].get(sub + (event,), 0) + self.add_k
-            den = self._context_counts[o - 1].get(sub, 0) + smooth_mass
-            p += self.weights[o - 1] * (num / den)
+        for i, table in enumerate(self._tables):
+            total, row = table.get(ctx[self.order - 1 - i :], _UNSEEN)
+            p += self.weights[i] * ((row.get(event, 0) + self.add_k) / (total + smooth_mass))
         return p
 
     def _pad_context(self, context) -> tuple[int, ...]:
@@ -145,13 +161,37 @@ class NgramModel:
         return total + math.log(self._cond_prob(ctx, self.eos_id))
 
     def next_dist(self, context: TokenSequence) -> np.ndarray:
-        """Distribution over vocab + end event given the last order-1 tokens."""
+        """Distribution over vocab + end event given the last order-1 tokens.
+
+        Equal to ``_cond_prob`` at every event, bit for bit: each order adds
+        ``w * (num / den)`` to the sum in the same order as there.
+        """
         _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
         ctx = self._pad_context(context)
-        probs = np.empty(self.vocab_size + 1, dtype=np.float64)
-        for e in range(self.vocab_size + 1):
-            probs[e] = self._cond_prob(ctx, e)
+        smooth_mass = self.add_k * (self.vocab_size + 1)
+        probs = np.zeros(self.vocab_size + 1, dtype=np.float64)
+        num = np.empty_like(probs)
+        for i, table in enumerate(self._tables):
+            sub = ctx[self.order - 1 - i :]
+            num.fill(self.add_k)
+            den = smooth_mass
+            if sub in table:
+                events, seen, den = self._context_arrays(i, sub)
+                num[events] = seen
+            num /= den
+            num *= self.weights[i]  # (num / den) * w is w * (num / den) exactly
+            probs += num
         return probs
+
+    def _context_arrays(self, i: int, ctx: tuple[int, ...]) -> tuple:
+        cached = self._arrays[i].get(ctx)
+        if cached is None:
+            total, row = self._tables[i][ctx]
+            events = np.fromiter(row, dtype=np.intp, count=len(row))
+            seen = np.fromiter(row.values(), dtype=np.float64, count=len(row)) + self.add_k
+            den = total + self.add_k * (self.vocab_size + 1)
+            cached = self._arrays[i][ctx] = (events, seen, den)
+        return cached
 
     def generate(
         self,
@@ -214,10 +254,10 @@ class NgramModel:
         return int(min(idx, live[-1]))
 
     def to_bytes(self) -> bytes:
-        top_grams = self._ngram_counts[self.order - 1]
         triples = sorted(
-            (tuple(s + 1 for s in key[:-1]), key[-1], cnt)
-            for key, cnt in top_grams.items()
+            (tuple(s + 1 for s in ctx), event, cnt)
+            for ctx, (_, row) in self._tables[-1].items()
+            for event, cnt in row.items()
         )
         parts = [
             _FIXED_HEADER.pack(

@@ -1,5 +1,8 @@
+import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from abpe import (
     save_tokens,
     synth_corpus,
 )
+from abpe import cli
 from abpe.cli import main
 
 
@@ -359,6 +363,65 @@ def test_non_finite_parameters_fail_cleanly(tmp_path, capsys, sub, extra):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+class _HalfThenFail:
+    """A file whose ``write`` stores half of the bytes, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def _refuse_replace(src, dst):
+    raise OSError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_out_write_leaves_no_trace(tmp_path, capsys, monkeypatch, fail_at):
+    out = tmp_path / "corpus.tok"
+    out.write_bytes(b"#vocab 2\n0 1\n")
+    if fail_at == "write":
+        monkeypatch.setattr(cli, "open", lambda *a: _HalfThenFail(open(*a)), raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "replace", _refuse_replace)
+    assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out.read_bytes() == b"#vocab 2\n0 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.tok"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "real.tok", tmp_path / "link.tok"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", link) == 0
+    assert link.is_symlink()
+    assert target.read_bytes().startswith(b"#vocab 5\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tok", "real.tok"]
+
+
+def test_out_to_a_pipe_writes_it_directly(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", fifo) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and received[0].startswith(b"#vocab 5\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 @pytest.mark.parametrize("top_k", [[], ["--top-k", 2]])

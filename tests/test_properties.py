@@ -5,6 +5,7 @@ settings are fixed (derandomized, no example database), so every run of
 the same tree checks the same examples.
 """
 
+import math
 import tempfile
 
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from abpe import BpeModel, Corpus, NgramModel
 
-from oracles import bpe_encode_stepwise, bpe_train_merges
+from oracles import bpe_encode_stepwise, bpe_train_merges, ngram_cond_prob
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -71,3 +72,22 @@ def test_next_dist_sums_to_one(corpus, order, data):
     model = NgramModel.train(corpus, order=order, add_k=add_k, interpolation_weights=weights)
     context = data.draw(st.lists(st.integers(0, corpus.vocab_size - 1), max_size=5))
     assert abs(model.next_dist(context).sum() - 1.0) <= 1e-12
+
+
+@PROFILE
+@given(corpora(), st.integers(1, 4), st.data())
+def test_next_dist_is_the_scoring_path(corpus, order, data):
+    """``logprob`` and ``next_dist`` agree exactly, and both match the oracle."""
+    add_k = data.draw(st.floats(1e-3, 10.0))
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=order, max_size=order)
+                        .filter(lambda ws: sum(ws) > 0))
+    model = NgramModel.train(corpus, order=order, add_k=add_k, interpolation_weights=weights)
+    seq = data.draw(st.lists(st.integers(0, corpus.vocab_size - 1), max_size=8))
+    total = 0.0  # summed left to right, as logprob does
+    for i, x in enumerate(seq):
+        total += math.log(model.next_dist(seq[:i])[x])
+    assert model.logprob(seq) == total + math.log(model.next_dist(seq)[model.eos_id])
+    dist = model.next_dist(seq)
+    for event in range(corpus.vocab_size + 1):
+        want = ngram_cond_prob(corpus, order, add_k, model.weights, seq, event)
+        assert abs(dist[event] - want) <= 1e-12

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from abpe import Corpus, FormatError, NgramModel
+from abpe import Corpus, FormatError, NgramModel, SynthSpec, synth_corpus
 
 from oracles import (
     greedy_continuation,
@@ -173,6 +174,50 @@ def test_generate_matches_greedy_oracle_at_every_order(order):
         prompt = [int(t) for t in rng.integers(0, corpus.vocab_size, size=length)]
         got = model.generate(prompt, 12, seed=0, temperature=0.0)
         assert got == greedy_continuation(model, prompt, 12)
+
+
+def test_mutating_next_dist_result_leaves_the_model_unchanged():
+    model = NgramModel.train(Corpus([[0, 1, 2], [1, 2, 0], [2, 2]], 3), order=3, add_k=0.1)
+    for ctx in ([], [1], [1, 2], [0, 0]):
+        first = model.next_dist(ctx)
+        kept = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(model.next_dist(ctx), kept)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_loaded_model_gives_identical_distributions(tmp_path, order):
+    rng = np.random.default_rng(39)
+    corpus = random_small_corpus(rng, max_vocab=6, max_utts=12, max_len=10)
+    model = NgramModel.train(corpus, order=order, add_k=0.3)
+    path = tmp_path / "m.ngram"
+    path.write_bytes(model.to_bytes())
+    loaded = NgramModel.load(str(path))
+    seen = [list(u[:j]) for u in corpus.utterances for j in range(len(u) + 1)]
+    unseen = [[int(t) for t in rng.integers(0, corpus.vocab_size, size=6)] for _ in range(20)]
+    for ctx in [[]] + seen + unseen:
+        assert np.array_equal(loaded.next_dist(ctx), model.next_dist(ctx))
+
+
+def test_golden_outputs():
+    """Digests of the model bytes, ten distributions and ten samples: a fast path
+    that moves any bit of them fails here."""
+    corpus = synth_corpus(SynthSpec(300, 120, (10, 40), 12, (3, 6), 0.4, 1.1, seed=7))
+    model = NgramModel.train(corpus, order=4, add_k=0.05, interpolation_weights=[1, 2, 3, 4])
+    contexts = [[], [16], [8, 19], [133, 0, 291], [154, 79, 149, 113, 25, 291],
+                [299, 298, 297], [0, 0, 0], [5], [215, 76, 297], [126, 299]]
+    dists = b"".join(model.next_dist(ctx).tobytes() for ctx in contexts)
+    samples = [model.generate([8, 19], 40, seed=s) for s in range(5)]
+    samples += [model.generate([8, 19], 40, seed=s, top_k=5) for s in range(5)]
+
+    def sha(blob):
+        return hashlib.sha256(blob).hexdigest()
+
+    assert sha(model.to_bytes()) == (
+        "13ac0f109f541c9a0d285c364acd396ad06c164c1c99b08601b782a3e5a28545")
+    assert sha(dists) == "1e9aac20477706fbd1375b43d704dedeb6368d82b16136e3df0ecd1c9bc25618"
+    assert sha(repr(samples).encode()) == (
+        "aa0a222ccd705df8404de50d10213e57e153b982de453788ff386fe96abd1786")
 
 
 class TestGenerate:
