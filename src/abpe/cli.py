@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline operation.
 
 Data goes to --out when given, otherwise to stdout; diagnostics go to
-stderr. Exit codes: 0 success, 1 data/format error, 2 usage error. Every
-stochastic subcommand requires an explicit --seed.
+stderr. Exit codes: 0 success, 1 data/format error or out of memory, 2
+usage error. Every stochastic subcommand requires an explicit --seed.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

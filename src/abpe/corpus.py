@@ -200,8 +200,8 @@ def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.n
     expected = _MATRIX_HEADER.size + 4 * n * d
     if len(blob) != expected:
         raise FormatError(f"{origin}: payload is {len(blob)} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f4", offset=_MATRIX_HEADER.size)
-    return _check_matrix(values.reshape(n, d).astype(np.float64), origin)
+    values = np.frombuffer(blob, dtype="<f4", offset=_MATRIX_HEADER.size).reshape(n, d)
+    return _check_matrix(values, origin).astype(np.float64)  # casting a NaN may warn
 
 
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:

@@ -11,13 +11,16 @@ estimates, every one of them smoothed across the full event space
 (vocabulary plus end-of-sequence), so all conditionals are strictly
 positive and each distribution sums to one.
 
-Counts live in one table per order: context -> (context total,
-``{event: count}``). ``logprob`` reads them with at most two lookups per
-order. ``next_dist`` fills an add-k array per order, scatters count + add-k
-over the events of the context's row and adds the weighted ratio, which
-gives ``logprob``'s floats bit for bit. A context's event-id and numerator
-arrays are built the first time ``next_dist`` meets it and kept; they are
-never serialised.
+The model keeps the top-order table as the model file stores it and, per
+order, sorted arrays derived from it once by the constructor, as KenLM's
+sorted-array tables do. A context's id is its row in its order's sorted
+codes ``parent id * (V+1) + symbol``, the parent being the context minus
+its oldest symbol, so codes stay below (rows + 1) * (V+1); an n-gram's
+code is ``context id * (V+1) + event``, and a context's n-grams form one
+slice. Each n-gram, and each context for its unseen events, holds the
+order's weight times its add-k estimate. ``logprob`` finds the ids of all
+positions with one ``searchsorted`` per order; ``next_dist`` walks the
+same ids for one context and scatters one slice per order.
 
 Anything with ``logprob``/``next_dist``/``generate`` and a ``vocab_size``
 can stand in for this class downstream; nothing else in the package
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,25 +53,32 @@ BOS = -1
 
 _FIXED_HEADER = struct.Struct("<8sIQId")
 _OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
-_UNSEEN: tuple[int, dict[int, int]] = (0, {})
+_CODE_MAX = 2**63 - 1  # int64 max; every table ends in it, as its unseen row
+
+
+class _Order(NamedTuple):
+    """One order's sorted tables; all but ``events`` and ``starts`` end in the
+    row that an unseen context or n-gram maps to."""
+
+    contexts: np.ndarray  # context codes, parent id * (V+1) + shifted symbol
+    grams: np.ndarray  # n-gram codes, context id * (V+1) + event
+    events: np.ndarray  # the event of each n-gram
+    starts: np.ndarray  # context id -> its first n-gram; the unseen id's slice is empty
+    seen: np.ndarray  # weight * add-k estimate of each n-gram
+    unseen: np.ndarray  # weight * add-k estimate of an unseen event, per context
 
 
 class NgramModel:
     """Count-based sequence model; immutable once constructed."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        order: int,
-        add_k: float,
-        weights: tuple[float, ...],
-        counts: dict[tuple[int, ...], int],
-    ):
-        """Build the model from its top-order ``(context..., event) -> count``
-        table, the one the model file stores (begin marker ``BOS``).
+    def __init__(self, vocab_size: int, order: int, add_k: float,
+                 weights: tuple[float, ...], rows):
+        """Build the model from its top-order table: one u64 row
+        ``(context..., event, count)`` per n-gram, as the model file stores it
+        (context symbols shifted by one, 0 for the begin marker).
 
-        Every parameter is checked here and nowhere else; the lower orders
-        are derived as exact marginals of ``counts``.
+        Every parameter and row is checked here and nowhere else; the lower
+        orders are derived as exact marginals of ``rows``.
         """
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
@@ -84,25 +96,51 @@ class NgramModel:
         self.order = order
         self.add_k = float(add_k)
         self.weights = tuple(float(w) for w in weights)
-        # order i + 1: the last i context symbols -> (context total, {event: count})
-        tables: list[dict] = [{} for _ in range(order)]
-        levels = [(order - 1 - i, tables[i]) for i in range(order)]
-        for top, cnt in counts.items():
-            event = top[-1]
-            for skip, table in levels:
-                ctx = top[skip:-1]
-                row = table.get(ctx)
-                if row is None:
-                    table[ctx] = {event: cnt}
-                else:
-                    row[event] = row.get(event, 0) + cnt
-        for table in tables:
-            for ctx, row in table.items():  # replaces values only, so iterating is safe
-                table[ctx] = (sum(row.values()), row)
-        self._tables = tables
-        # order i + 1: context -> (event ids, count + add_k, denominator), made when
-        # next_dist first meets the context; never serialised
-        self._arrays: list[dict] = [{} for _ in range(order)]
+        rows = np.ascontiguousarray(rows, dtype="<u8").reshape(-1, order + 1)
+        v1 = vocab_size + 1
+        if v1 * (len(rows) + 1) > _CODE_MAX:
+            raise ValueError(f"vocab {vocab_size} with {len(rows)} rows overflows int64 codes")
+        keys, ctx, counts = rows[:, :order], rows[:, : order - 1], rows[:, order]
+        # one encoding per model: (context, event) keys strictly increase
+        first = (keys[1:] != keys[:-1]).argmax(axis=1)[:, None]
+        if not (np.take_along_axis(keys[1:], first, 1)
+                > np.take_along_axis(keys[:-1], first, 1)).all():
+            raise ValueError("triples not strictly increasing")
+        if (counts == 0).any():
+            raise ValueError("non-positive count")
+        bad = keys[:, -1] > vocab_size
+        if bad.any():
+            raise ValueError(f"event id {keys[bad.argmax(), -1]} out of range")
+        bad = ctx > vocab_size
+        if bad.any():
+            raise ValueError(f"context id {int(ctx.flat[bad.argmax()]) - 1} out of range")
+        if ((ctx[:, :-1] != 0) & (ctx[:, 1:] == 0)).any():
+            raise ValueError("begin marker after a real token")
+        mass = counts.astype(np.float64)
+        if mass.sum() >= 2.0**53:  # every marginal is at most this, so all are exact floats
+            raise ValueError("count total reaches 2^53")
+        self._rows = rows
+
+        top = rows.astype(np.int64)
+        smooth_mass = self.add_k * v1
+        ids = np.zeros(len(top), dtype=np.int64)
+        contexts = np.zeros(1, dtype=np.int64)  # order 1 has one context, the empty one
+        self._orders: list[_Order] = []
+        for i in range(order):
+            if i:
+                contexts, ids = np.unique(ids * v1 + top[:, order - 1 - i], return_inverse=True)
+            grams, at = np.unique(ids * v1 + top[:, order - 1], return_inverse=True)
+            owner = grams // v1
+            den = np.append(np.bincount(ids, mass, len(contexts)) + smooth_mass, smooth_mass)
+            seen = (np.bincount(at, mass, len(grams)) + self.add_k) / den[owner]
+            self._orders.append(_Order(
+                np.append(contexts, _CODE_MAX),
+                np.append(grams, _CODE_MAX),
+                grams % v1,
+                np.searchsorted(owner, np.arange(len(contexts) + 2)),
+                np.append(self.weights[i] * seen, 0.0),
+                self.weights[i] * (self.add_k / den),
+            ))
 
     @property
     def eos_id(self) -> int:
@@ -128,70 +166,64 @@ class NgramModel:
         total = sum(weights)
         if total > 0:  # otherwise the constructor rejects the weights as given
             weights = tuple(w / total for w in weights)
-        pad = [BOS] * (order - 1)
-        counts: dict[tuple[int, ...], int] = {}
-        for utt in corpus.utterances:
-            stream = pad + list(utt) + [corpus.vocab_size]
-            for j in range(len(stream) - order + 1):
-                key = tuple(stream[j : j + order])
-                counts[key] = counts.get(key, 0) + 1
-        return cls(corpus.vocab_size, order, add_k, weights, counts)
-
-    def _cond_prob(self, ctx: tuple[int, ...], event: int) -> float:
-        smooth_mass = self.add_k * (self.vocab_size + 1)
-        p = 0.0
-        for i, table in enumerate(self._tables):
-            total, row = table.get(ctx[self.order - 1 - i :], _UNSEEN)
-            p += self.weights[i] * ((row.get(event, 0) + self.add_k) / (total + smooth_mass))
-        return p
-
-    def _pad_context(self, context) -> tuple[int, ...]:
-        ctx = ((BOS,) * (self.order - 1) + tuple(context))
-        return ctx[len(ctx) - (self.order - 1) :] if self.order > 1 else ()
+        vocab = corpus.vocab_size
+        lengths = np.array([len(u) + 1 for u in corpus.utterances])
+        events = np.fromiter(chain.from_iterable(chain(u, (vocab,)) for u in corpus.utterances),
+                             dtype=np.int64, count=lengths.sum())
+        # d symbols before an event: the token there shifted by one, or 0 (begin
+        # marker) before the start of its utterance
+        pos = np.arange(len(events)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        columns = [np.where(pos >= d, np.roll(events, d) + 1, 0) for d in range(order - 1, 0, -1)]
+        windows = np.stack(columns + [events], axis=1).astype(">u8")
+        # as big-endian bytes, the windows sort as their (context, event) keys do
+        width = windows.itemsize * windows.shape[1]
+        keys, counts = np.unique(windows.view(f"V{width}"), return_counts=True)
+        keys = keys.view(">u8").reshape(len(keys), -1)
+        return cls(vocab, order, add_k, weights, np.column_stack((keys, counts)))
 
     def logprob(self, seq: TokenSequence) -> float:
         """Natural-log probability of ``seq`` including its end event."""
         _check_ids(seq, self.vocab_size, _OUT_OF_VOCAB)
-        ctx = (BOS,) * (self.order - 1)
+        v1, slots = self.vocab_size + 1, len(seq) + 1
+        stream = np.array([BOS] * (self.order - 1) + list(seq) + [self.eos_id], dtype=np.int64)
+        events, syms = stream[self.order - 1 :], stream[:-1] + 1
+        ids = np.zeros(slots, dtype=np.int64)  # per slot, its context's id at this order
+        probs = np.zeros(slots)
+        for i, t in enumerate(self._orders):
+            if i:
+                codes = ids * v1 + syms[self.order - 1 - i :][:slots]
+                ids = t.contexts.searchsorted(codes)
+                ids[t.contexts[ids] != codes] = len(t.contexts) - 1
+            codes = ids * v1 + events
+            at = t.grams.searchsorted(codes)
+            probs += np.where(t.grams[at] == codes, t.seen[at], t.unseen[ids])
         total = 0.0
-        for x in seq:
-            total += math.log(self._cond_prob(ctx, x))
-            if self.order > 1:
-                ctx = ctx[1:] + (x,)
-        return total + math.log(self._cond_prob(ctx, self.eos_id))
+        for p in probs.tolist():  # in order: sum() and np.sum may round differently
+            total += math.log(p)
+        return total
 
     def next_dist(self, context: TokenSequence) -> np.ndarray:
         """Distribution over vocab + end event given the last order-1 tokens.
 
-        Equal to ``_cond_prob`` at every event, bit for bit: each order adds
-        ``w * (num / den)`` to the sum in the same order as there.
+        Equal to ``logprob``'s conditionals bit for bit: it walks the same
+        context ids and adds the same weighted estimates in the same order.
         """
         _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
-        ctx = self._pad_context(context)
-        smooth_mass = self.add_k * (self.vocab_size + 1)
+        padded = [BOS] * (self.order - 1) + list(context)
+        c = 0
         probs = np.zeros(self.vocab_size + 1, dtype=np.float64)
-        num = np.empty_like(probs)
-        for i, table in enumerate(self._tables):
-            sub = ctx[self.order - 1 - i :]
-            num.fill(self.add_k)
-            den = smooth_mass
-            if sub in table:
-                events, seen, den = self._context_arrays(i, sub)
-                num[events] = seen
-            num /= den
-            num *= self.weights[i]  # (num / den) * w is w * (num / den) exactly
-            probs += num
+        part = np.empty_like(probs)
+        for i, t in enumerate(self._orders):
+            if i:
+                code = c * (self.vocab_size + 1) + padded[-i] + 1
+                c = int(t.contexts.searchsorted(code))
+                if t.contexts[c] != code:
+                    c = len(t.contexts) - 1
+            s, e = t.starts[c], t.starts[c + 1]
+            part.fill(t.unseen[c])
+            part[t.events[s:e]] = t.seen[s:e]
+            probs += part
         return probs
-
-    def _context_arrays(self, i: int, ctx: tuple[int, ...]) -> tuple:
-        cached = self._arrays[i].get(ctx)
-        if cached is None:
-            total, row = self._tables[i][ctx]
-            events = np.fromiter(row, dtype=np.intp, count=len(row))
-            seen = np.fromiter(row.values(), dtype=np.float64, count=len(row)) + self.add_k
-            den = total + self.add_k * (self.vocab_size + 1)
-            cached = self._arrays[i][ctx] = (events, seen, den)
-        return cached
 
     def generate(
         self,
@@ -254,22 +286,12 @@ class NgramModel:
         return int(min(idx, live[-1]))
 
     def to_bytes(self) -> bytes:
-        triples = sorted(
-            (tuple(s + 1 for s in ctx), event, cnt)
-            for ctx, (_, row) in self._tables[-1].items()
-            for event, cnt in row.items()
-        )
-        parts = [
-            _FIXED_HEADER.pack(
-                NGRAM_MAGIC, NGRAM_VERSION, self.vocab_size, self.order, self.add_k
-            ),
+        return b"".join((
+            _FIXED_HEADER.pack(NGRAM_MAGIC, NGRAM_VERSION, self.vocab_size, self.order, self.add_k),
             struct.pack(f"<{self.order}d", *self.weights),
-            struct.pack("<Q", len(triples)),
-        ]
-        row = struct.Struct(f"<{self.order + 1}Q")
-        for ctx, event, cnt in triples:
-            parts.append(row.pack(*ctx, event, cnt))
-        return b"".join(parts)
+            struct.pack("<Q", len(self._rows)),
+            self._rows.tobytes(),
+        ))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -279,9 +301,8 @@ class NgramModel:
     def load(cls, path: str) -> "NgramModel":
         with open(path, "rb") as fh:
             blob = fh.read()
-        vocab_size, order, add_k = _unpack_header(
-            blob, _FIXED_HEADER, NGRAM_MAGIC, NGRAM_VERSION, path
-        )
+        vocab_size, order, add_k = _unpack_header(blob, _FIXED_HEADER, NGRAM_MAGIC,
+                                                  NGRAM_VERSION, path)
         offset = _FIXED_HEADER.size
         try:
             weights = struct.unpack_from(f"<{order}d", blob, offset)
@@ -290,33 +311,9 @@ class NgramModel:
             offset += 8
         except struct.error:
             raise FormatError(f"{path}: truncated header fields") from None
-        row = struct.Struct(f"<{order + 1}Q")
-        if len(blob) != offset + n_triples * row.size:
+        if len(blob) != offset + n_triples * 8 * (order + 1):
             raise FormatError(f"{path}: payload size mismatch")
-
-        counts: dict[tuple[int, ...], int] = {}
-        previous: tuple[int, ...] = ()
-        for values in row.iter_unpack(memoryview(blob)[offset:]):
-            # one encoding per model: (context, event) keys strictly increase
-            if values[:order] <= previous:
-                raise FormatError(f"{path}: triples not strictly increasing")
-            previous = values[:order]
-            raw_ctx, event, cnt = values[: order - 1], values[order - 1], values[order]
-            if cnt < 1:
-                raise FormatError(f"{path}: non-positive count")
-            if event > vocab_size:
-                raise FormatError(f"{path}: event id {event} out of range")
-            full = tuple(s - 1 for s in raw_ctx)
-            seen_real = False
-            for s in full:
-                if s >= vocab_size:
-                    raise FormatError(f"{path}: context id {s} out of range")
-                if s != BOS:
-                    seen_real = True
-                elif seen_real:
-                    raise FormatError(f"{path}: begin marker after a real token")
-            counts[full + (event,)] = cnt
         try:
-            return cls(vocab_size, order, add_k, weights, counts)
+            return cls(vocab_size, order, add_k, weights, np.frombuffer(blob, "<u8", offset=offset))
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None

@@ -5,6 +5,8 @@ Statistical criteria use fixed seeds, so every run is reproducible.
 """
 
 import filecmp
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -311,3 +313,15 @@ def test_criterion_12_end_to_end_cli_determinism(tmp_path):
         f"{len(names)} artifacts byte-identical across two runs, "
         f"{elapsed:.1f}s (< 300s)",
     )
+    # and equal to the recorded bytes; help.txt is left out, as argparse lays
+    # out help differently across Python versions
+    with open(os.path.join(os.path.dirname(__file__), "smoke_digests.json")) as fh:
+        recorded = json.load(fh)
+    digests = {}
+    for name in names:
+        if name != "help.txt":
+            with open(os.path.join(dirs[0], name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    changed = sorted(n for n in recorded.keys() | digests.keys()
+                     if recorded.get(n) != digests.get(n))
+    assert not changed, f"smoke artifacts differ from tests/smoke_digests.json: {changed}"

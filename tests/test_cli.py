@@ -510,3 +510,37 @@ def test_rescore_topx_runs_to_the_smallest_case(tmp_path, capsys):
     assert run_cli(*argv) == 0
     topx = [line for line in capsys.readouterr().out.splitlines() if line.startswith("topx")]
     assert topx == ["topx x=1 accuracy=0.5", "topx x=2 accuracy=1.0"]
+
+
+def _no_memory(args):
+    raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627777,)")
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    # a model whose header vocab is 2^40 makes next_dist ask for 8 TiB
+    monkeypatch.setattr(cli, "_cmd_continue", _no_memory)
+    assert run_cli("continue", "--model", "m.ngram", "--prompt", "1", "--max-new", 3,
+                   "--seed", 1) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 8.00 TiB for an array with shape (1099511627777,)\n")
+
+
+@pytest.mark.parametrize("sub, bad", [
+    ("kmeans-fit", "features"), ("discretize", "features"), ("discretize", "model"),
+])
+def test_signalling_nan_fails_without_a_warning(tmp_path, capsys, sub, bad):
+    feats, km = tmp_path / "f.bin", tmp_path / "km.bin"
+    save_features(np.arange(8.0).reshape(4, 2), str(feats))
+    assert run_cli("kmeans-fit", "--in", feats, "--k", 2, "--seed", 0, "--out", km) == 0
+    path = feats if bad == "features" else km
+    blob = bytearray(path.read_bytes())
+    blob[28:32] = b"\x01\x00\x80\x7f"  # the first float32 after the 28-byte header
+    path.write_bytes(bytes(blob))
+    argv = {"kmeans-fit": ["--in", feats, "--k", 2, "--seed", 0],
+            "discretize": ["--model", km, "--in", feats]}[sub]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(sub, *argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: non-finite value\n"

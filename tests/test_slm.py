@@ -353,3 +353,64 @@ class TestModelFile:
         loaded = NgramModel.load(str(path))
         assert loaded.weights == model.weights
         assert loaded.logprob([0, 1]) == model.logprob([0, 1])
+
+
+# byte layout of an order-2 model file: u64 vocab after magic and version;
+# rows after the fixed header, two weights and the triple count
+VOCAB_AT, ROWS_START, ROW_WIDTH = 12, 32 + 2 * 8 + 8, 3 * 8
+
+
+class TestModelBounds:
+    """Context ids keep codes below (rows + 1) * (V+1) and totals below 2^53."""
+
+    @staticmethod
+    def _set_u64(model, offset, value, tmp_path):
+        blob = bytearray(model.to_bytes())
+        blob[offset : offset + 8] = value.to_bytes(8, "little")
+        path = tmp_path / "m.ngram"
+        path.write_bytes(bytes(blob))
+        return str(path)
+
+    def test_large_vocab_high_order_roundtrip(self, tmp_path):
+        vocab, order = 20992, 5
+        assert (vocab + 1) ** order > 2**63  # a mixed-radix code over raw symbols would overflow
+        rng = np.random.default_rng(40)
+        pool = [0, 1, 7, 10_000, 20_990, 20_991]
+        utts = [[pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 9)))]
+                for _ in range(12)]
+        corpus = Corpus(utts, vocab)
+        model = NgramModel.train(corpus, order=order, add_k=0.1)
+        path = tmp_path / "m.ngram"
+        model.save(str(path))
+        loaded = NgramModel.load(str(path))
+        assert loaded.to_bytes() == model.to_bytes()
+        weights = (1 / order,) * order
+        for ctx in ([], [20_991], utts[0][:4], [20_991, 10_000, 7, 1, 0, 20_990]):
+            dist = loaded.next_dist(ctx)
+            for event in pool + [5, vocab]:
+                assert dist[event] == pytest.approx(
+                    ngram_cond_prob(corpus, order, 0.1, weights, ctx, event), rel=1e-12)
+        for seq in utts[:3] + [[20_991, 5, 20_990]]:
+            assert loaded.logprob(seq) == model.logprob(seq)
+            assert loaded.logprob(seq) == pytest.approx(
+                ngram_logprob(corpus, order, 0.1, weights, seq), rel=1e-12)
+
+    def test_vocab_that_overflows_int64_codes_rejected(self, tmp_path):
+        model = NgramModel.train(Corpus([[0, 1, 0], [1, 1]], 2), order=2, add_k=0.1)
+        rows = len(model.to_bytes()[ROWS_START:]) // ROW_WIDTH
+        limit = (2**63 - 1) // (rows + 1) - 1  # the largest vocab whose codes fit
+        loaded = NgramModel.load(self._set_u64(model, VOCAB_AT, limit, tmp_path))
+        assert loaded.vocab_size == limit and math.isfinite(loaded.logprob([0, 1]))
+        with pytest.raises(FormatError, match="overflows int64 codes"):
+            NgramModel.load(self._set_u64(model, VOCAB_AT, limit + 1, tmp_path))
+
+    def test_count_total_reaching_2_to_53_rejected(self, tmp_path):
+        model = NgramModel.train(Corpus([[0, 1, 0], [1, 1]], 2), order=2, add_k=0.1)
+        blob = model.to_bytes()
+        count_at = range(ROWS_START + ROW_WIDTH - 8, len(blob), ROW_WIDTH)
+        counts = [int.from_bytes(blob[i : i + 8], "little") for i in count_at]
+        just_below = 2**53 - 1 - sum(counts[1:])
+        loaded = NgramModel.load(self._set_u64(model, count_at[0], just_below, tmp_path))
+        assert math.isfinite(loaded.logprob([0, 1]))
+        with pytest.raises(FormatError, match="count total reaches 2\\^53"):
+            NgramModel.load(self._set_u64(model, count_at[0], just_below + 1, tmp_path))
