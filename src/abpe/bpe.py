@@ -7,9 +7,11 @@ Occurrences are counted non-overlapping left-to-right (a run of m equal
 units contributes floor(m/2) pairs) and never across utterance boundaries.
 Frequency ties go to the lexicographically smallest (left, right) pair.
 
-Encoding replays the merges by rank priority, which reproduces the
-training-time segmentation; decoding expands merged units recursively, so
-decode(encode(x)) == x for every base-alphabet sequence.
+Encoding merges the lowest-ranked adjacent pair (all its non-overlapping
+occurrences) until no adjacent pair has a rank (Sennrich et al. 2016). That
+equals replaying the merges in rank order, the training-time segmentation:
+merge r creates unit base+r, so no pair of rank <= r can appear after it.
+Decoding expands merged units recursively, so decode(encode(x)) == x.
 
 Merges file: line 1 ``#abpe 1``, line 2 ``#base <N>``, then one merge per
 line as ``left right`` unit ids in training order. Merge i defines unit
@@ -17,6 +19,8 @@ id N+i.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids, _read_lines
 from .errors import FormatError
@@ -27,22 +31,20 @@ MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
 Pair = tuple[int, int]
 
 
+def _check_base_size(base_size: int) -> None:
+    if not 1 <= base_size <= MAX_BASE_SIZE:
+        raise ValueError(f"base_size must be in [1, {MAX_BASE_SIZE}]")
+
+
 def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> None:
     """Accumulate non-overlapping left-to-right adjacent-pair counts."""
-    n = len(seq)
-    i = 0
-    while i < n - 1:
-        a = seq[i]
-        if a == seq[i + 1]:
-            j = i + 1
-            while j < n and seq[j] == a:
-                j += 1
-            counts[(a, a)] = counts.get((a, a), 0) + (j - i) // 2
-            i = j - 1  # run tail may still pair with the next distinct unit
+    last = None  # equal consecutive pairs lie in a run: count every other one
+    for pair in zip(seq, seq[1:]):
+        if pair == last:
+            last = None
         else:
-            pair = (a, seq[i + 1])
             counts[pair] = counts.get(pair, 0) + 1
-            i += 1
+            last = pair
 
 
 def _merge_pair(seq: list[int], pair: Pair, new_id: int) -> list[int]:
@@ -70,20 +72,19 @@ class BpeModel:
     """
 
     def __init__(self, base_size: int, merges: list[Pair]):
-        if not 1 <= base_size <= MAX_BASE_SIZE:
-            raise ValueError(f"base_size must be in [1, {MAX_BASE_SIZE}]")
-        seen: set[Pair] = set()
+        _check_base_size(base_size)
+        ranks: dict[Pair, int] = {}
         unit_len = [1] * base_size
         for i, (a, b) in enumerate(merges):
             limit = base_size + i
             if not (0 <= a < limit and 0 <= b < limit):
                 raise ValueError(f"merge {i}: operand out of range for unit {limit}")
-            if (a, b) in seen:
+            if ranks.setdefault((a, b), i) != i:
                 raise ValueError(f"merge {i}: duplicate pair ({a}, {b})")
-            seen.add((a, b))
             unit_len.append(unit_len[a] + unit_len[b])
         self.base_size = base_size
-        self.merges: list[Pair] = [(int(a), int(b)) for a, b in merges]
+        self.merges: list[Pair] = list(ranks)
+        self._ranks = ranks
         self._unit_len = unit_len
 
     @property
@@ -114,36 +115,31 @@ class BpeModel:
             raise ValueError(
                 f"vocab_size {vocab_size} is below the base alphabet size {base}"
             )
+        _check_base_size(base)
         seqs = [list(u) for u in corpus.utterances]
         merges: list[Pair] = []
         for rank in range(vocab_size - base):
             counts: dict[Pair, int] = {}
             for s in seqs:
                 _count_pairs(s, counts)
-            best_pair: Pair | None = None
-            best_count = 0
-            for pair, cnt in counts.items():
-                if cnt > best_count or (cnt == best_count and pair < best_pair):
-                    best_pair, best_count = pair, cnt
-            if best_pair is None or best_count < 2:
+            best_count = max(counts.values(), default=0)
+            if best_count < 2:
                 break
-            new_id = base + rank
-            a = best_pair[0]
-            seqs = [
-                _merge_pair(s, best_pair, new_id) if a in s else s for s in seqs
-            ]
+            best_pair = min(p for p, c in counts.items() if c == best_count)
+            seqs = [_merge_pair(s, best_pair, base + rank) if best_pair[0] in s else s for s in seqs]
             merges.append(best_pair)
         return cls(base, merges)
 
     def encode(self, seq: TokenSequence) -> TokenSequence:
-        """Apply merges in rank order; input must be base-alphabet ids."""
+        """Merge the lowest-ranked adjacent pair until none has a rank; input must be base ids."""
         _check_ids(seq, self.base_size, "id {id} at position {pos} is outside the base alphabet")
+        none = len(self.merges)  # above every rank
         out = list(seq)
-        for rank, pair in enumerate(self.merges):
-            if len(out) < 2:
+        while len(out) > 1:
+            rank = min(map(self._ranks.get, zip(out, out[1:]), repeat(none)))
+            if rank == none:
                 break
-            if pair[0] in out:
-                out = _merge_pair(out, pair, self.base_size + rank)
+            out = _merge_pair(out, self.merges[rank], self.base_size + rank)
         return out
 
     def decode(self, seq: TokenSequence) -> TokenSequence:

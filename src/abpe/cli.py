@@ -1,14 +1,16 @@
 """Command-line interface: one subcommand per pipeline operation.
 
 Data goes to --out when given, otherwise to stdout; diagnostics go to
-stderr. Exit codes: 0 success, 1 data/format error or out of memory, 2
-usage error. Every stochastic subcommand requires an explicit --seed.
+stderr. Exit codes: 0 success, 1 data/format error, out of memory or a
+stdout whose reader went away, 2 usage error. Every stochastic subcommand
+requires an explicit --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import asdict
 
@@ -52,13 +54,23 @@ def _write(data: str | bytes, out: str | None) -> None:
     """Send an artifact to the ``out`` path, or to stdout when it is None.
 
     A file is written whole or not at all: the bytes go to a temporary file
-    beside it, which then replaces it. Devices and pipes are written directly.
+    beside it, which then takes an existing file's permission bits and
+    replaces it. Devices and pipes are written directly. Stdout is flushed, so
+    a reader that went away fails the command here and not at exit.
     """
     if out is None:
-        if isinstance(data, bytes):
-            sys.stdout.buffer.write(data)
-        else:
-            sys.stdout.write(data)
+        try:
+            if isinstance(data, bytes):
+                sys.stdout.buffer.write(data)
+            else:
+                sys.stdout.write(data)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is still buffered goes nowhere, so the exit-time flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
     blob = data if isinstance(data, bytes) else data.encode("utf-8")
     if os.path.exists(out) and not os.path.isfile(out):
@@ -71,6 +83,8 @@ def _write(data: str | bytes, out: str | None) -> None:
     try:
         with fh:
             fh.write(blob)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -90,7 +104,7 @@ def _emit_metric(name: str, fields: dict, out: str | None) -> None:
         shown = f"{v:.4f}" if isinstance(v, float) else str(v)
         rows.append(f"{k:<{width}}  {shown}")
     text = record + "\n" + "\n".join(rows) + "\n"
-    sys.stdout.write(text)
+    _write(text, None)
     if out is not None:
         _write(text, out)
 

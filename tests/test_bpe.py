@@ -179,6 +179,18 @@ def test_exact_round_count_with_paper_scale_base(tmp_path):
     assert len(model.merges) == 50 == 2050 - 2000
 
 
+def test_too_wide_a_base_fails_before_the_first_merge(monkeypatch):
+    from abpe import bpe
+
+    def never(seq, counts):
+        raise AssertionError("pairs counted before the base size was checked")
+
+    monkeypatch.setattr(bpe, "_count_pairs", never)
+    corpus = Corpus([[0, 1, 0, 1]], bpe.MAX_BASE_SIZE + 1)
+    with pytest.raises(ValueError, match=r"^base_size must be in \[1, 20992\]$"):
+        BpeModel.train(corpus, bpe.MAX_BASE_SIZE + 3)
+
+
 class TestMergesFile:
     def test_exact_bytes_for_tiny_model(self, tmp_path):
         path = tmp_path / "m.merges"

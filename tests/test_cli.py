@@ -424,6 +424,36 @@ def test_out_to_a_pipe_writes_it_directly(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+def test_out_keeps_an_existing_files_permission_bits(tmp_path, mode):
+    out = tmp_path / "p.tok"
+    out.write_bytes(b"old")
+    out.chmod(mode)
+    assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 1, "--out", out) == 0
+    assert out.read_bytes().startswith(b"#vocab 5\n")
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("utts", [2, 2000])
+def test_stdout_reader_gone_exits_1_with_one_line(utts, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader goes away before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "abpe", "synth", "--vocab", "50", "--utts", str(utts),
+             "--seed", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("top_k", [[], ["--top-k", 2]])
 def test_tiny_temperature_samples_like_a_small_finite_one(tmp_path, capsys, top_k):
     # events 1 and 2 tie after 0, so the draw between them uses the rng

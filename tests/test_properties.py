@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from abpe import BpeModel, Corpus, NgramModel
+from abpe.bpe import _count_pairs
 
-from oracles import bpe_encode_stepwise, bpe_train_merges, ngram_cond_prob
+from oracles import bpe_encode_stepwise, bpe_pair_counts, bpe_train_merges, ngram_cond_prob
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -54,6 +55,15 @@ def test_decode_inverts_encode(case):
 def test_encode_matches_stepwise_oracle(case):
     model, seq = case
     assert model.encode(seq) == bpe_encode_stepwise(model.base_size, model.merges, seq)
+
+
+@PROFILE
+@given(corpora())
+def test_pair_counts_match_oracle(corpus):
+    counts = {}
+    for utt in corpus.utterances:
+        _count_pairs(utt, counts)
+    assert counts == bpe_pair_counts(corpus.utterances)
 
 
 @PROFILE
