@@ -6,6 +6,8 @@ the requested vocabulary size is reached or no pair occurs at least twice.
 Occurrences are counted non-overlapping left-to-right (a run of m equal
 units contributes floor(m/2) pairs) and never across utterance boundaries.
 Frequency ties go to the lexicographically smallest (left, right) pair.
+Training keeps each utterance's pair counts and, after a merge, recounts
+only the utterances that hold the merged pair.
 
 Encoding merges the lowest-ranked adjacent pair (all its non-overlapping
 occurrences) until no adjacent pair has a rank (Sennrich et al. 2016). That
@@ -20,6 +22,7 @@ id N+i.
 
 from __future__ import annotations
 
+import heapq
 from itertools import repeat
 
 from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids, _read_lines
@@ -117,17 +120,50 @@ class BpeModel:
             )
         _check_base_size(base)
         seqs = [list(u) for u in corpus.utterances]
+        own: list[dict[Pair, int]] = []  # each utterance's pair counts
+        counts: dict[Pair, int] = {}
+        holds: dict[int, set[int]] = {}  # unit -> utterances that hold or once held it
+        for i, seq in enumerate(seqs):
+            own.append({})
+            _count_pairs(seq, own[i])
+            for pair, n in own[i].items():
+                counts[pair] = counts.get(pair, 0) + n
+            for unit in seq:
+                holds.setdefault(unit, set()).add(i)
+        # lazy heap of pairs counted at least twice, by count then smallest pair;
+        # an entry is stale once its count is no longer the pair's count
+        heap = [(-n, pair) for pair, n in counts.items() if n >= 2]
+        heapq.heapify(heap)
         merges: list[Pair] = []
-        for rank in range(vocab_size - base):
-            counts: dict[Pair, int] = {}
-            for s in seqs:
-                _count_pairs(s, counts)
-            best_count = max(counts.values(), default=0)
-            if best_count < 2:
+        for new_id in range(base, vocab_size):
+            while heap and -heap[0][0] != counts.get(heap[0][1], 0):
+                heapq.heappop(heap)
+            if not heap:
                 break
-            best_pair = min(p for p, c in counts.items() if c == best_count)
-            seqs = [_merge_pair(s, best_pair, base + rank) if best_pair[0] in s else s for s in seqs]
-            merges.append(best_pair)
+            best = heap[0][1]
+            delta: dict[Pair, int] = {}
+            holds[new_id] = set()
+            for i in sorted(holds[best[0]] & holds[best[1]]):
+                if best not in own[i]:
+                    continue
+                seqs[i] = _merge_pair(seqs[i], best, new_id)
+                holds[new_id].add(i)
+                old, new = own[i], {}
+                _count_pairs(seqs[i], new)
+                own[i] = new
+                for pair, n in new.items():
+                    n -= old.pop(pair, 0)
+                    if n:
+                        delta[pair] = delta.get(pair, 0) + n
+                for pair, n in old.items():  # gone from utterance i
+                    delta[pair] = delta.get(pair, 0) - n
+            for pair, d in delta.items():
+                n = counts.pop(pair, 0) + d
+                if n:
+                    counts[pair] = n
+                if n >= 2:
+                    heapq.heappush(heap, (-n, pair))
+            merges.append(best)
         return cls(base, merges)
 
     def encode(self, seq: TokenSequence) -> TokenSequence:

@@ -444,4 +444,7 @@ def main(argv=None) -> int:
     except (FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
     return 0

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from abpe import BpeModel, Corpus, FormatError
+from abpe import BpeModel, Corpus, FormatError, SynthSpec, dump_tokens
 
 from oracles import (
     bpe_encode_stepwise,
@@ -149,6 +151,37 @@ def test_training_is_deterministic():
     a = BpeModel.train(corpus, corpus.vocab_size + 15)
     b = BpeModel.train(corpus, corpus.vocab_size + 15)
     assert a == b and a.dumps() == b.dumps()
+
+
+def test_golden_merges_and_encoding_at_paper_scale():
+    """Base 500, +1500 merges on motif-rich utterances: the digests pin every
+    merge and every encoded token, so a faster trainer must reproduce them."""
+    corpus = synth_corpus(SynthSpec(500, 160, (30, 60), 200, (6, 14), 0.6, 1.2, seed=8))
+    model = BpeModel.train(corpus, 2000)
+    assert len(model.merges) == 1500
+
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert sha(model.dumps()) == (
+        "3595c229a837f9ad3c86415d21f7adaadf78ce6c02f2a7d7cb334b021052ad41")
+    assert sha(dump_tokens(model.encode_corpus(corpus))) == (
+        "7c609d4670fc90d71f1051958b0b77e396afdd6cfbfb3748362d4dad19998d03")
+
+
+def test_pair_that_falls_to_a_tie_loses_to_the_smaller_pair():
+    # merge 1, (4, 0), takes (3, 4) from 3 to 2, level with (1, 2): the smaller
+    # pair wins, not (3, 4) on the count it had before merge 1
+    utts = [[3, 4, 0], [4, 0], [4, 0], [4, 0], [3, 4], [3, 4], [1, 2], [1, 2]]
+    corpus = Corpus(utts, 5)
+    model = BpeModel.train(corpus, 10)
+    assert model.merges == [(4, 0), (1, 2), (3, 4)] == bpe_train_merges(corpus, 10)
+
+
+def test_merge_that_makes_a_run_counts_the_run_non_overlapping():
+    # a b a b a b -> X X X holds one (X, X), not two, so training stops there
+    corpus = Corpus([[0, 1, 0, 1, 0, 1]], 2)
+    assert BpeModel.train(corpus, 10).merges == [(0, 1)] == bpe_train_merges(corpus, 10)
 
 
 def test_stops_when_no_pair_repeats():

@@ -366,10 +366,11 @@ def test_non_finite_parameters_fail_cleanly(tmp_path, capsys, sub, extra):
 
 
 class _HalfThenFail:
-    """A file whose ``write`` stores half of the bytes, then fails."""
+    """A file whose ``write`` stores half of the bytes, then raises ``error``."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, error=None):
         self._fh = fh
+        self._error = error or OSError(28, "No space left on device")
 
     def __enter__(self):
         return self
@@ -379,7 +380,7 @@ class _HalfThenFail:
 
     def write(self, data):
         self._fh.write(data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
+        raise self._error
 
 
 def _refuse_replace(src, dst):
@@ -397,6 +398,26 @@ def test_failed_out_write_leaves_no_trace(tmp_path, capsys, monkeypatch, fail_at
     assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert out.read_bytes() == b"#vocab 2\n0 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.tok"]
+
+
+def _interrupt(args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("at", ["handler", "write"])
+def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, at):
+    # Ctrl-C while a subcommand computes, or while it writes --out
+    out = tmp_path / "corpus.tok"
+    out.write_bytes(b"#vocab 2\n0 1\n")
+    if at == "handler":
+        monkeypatch.setattr(cli, "_cmd_synth", _interrupt)
+    else:
+        monkeypatch.setattr(cli, "open", lambda *a: _HalfThenFail(open(*a), KeyboardInterrupt()),
+                            raising=False)
+    assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", out) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
     assert out.read_bytes() == b"#vocab 2\n0 1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.tok"]
 

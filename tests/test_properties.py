@@ -1,8 +1,8 @@
 """Property tests of BPE and the n-gram model, against the oracles where they exist.
 
-Alphabets of 2-4 symbols make runs and tied pair counts common. The
-settings are fixed (derandomized, no example database), so every run of
-the same tree checks the same examples.
+Alphabets of 2-4 symbols (2-6 for the wide trainer corpora) make runs and
+tied pair counts common. The settings are fixed (derandomized, no example
+database), so every run of the same tree checks the same examples.
 """
 
 import math
@@ -31,6 +31,16 @@ def corpora(draw):
     vocab = draw(st.integers(2, 4))
     ids = st.integers(0, vocab - 1)
     utts = draw(st.lists(st.lists(ids, min_size=1, max_size=16), min_size=1, max_size=6))
+    return Corpus(utts, vocab)
+
+
+@st.composite
+def wide_corpora(draw):
+    """More and longer utterances than ``corpora``: a merge touches some of
+    them and not others, and pair counts fall over many merges."""
+    vocab = draw(st.integers(2, 6))
+    ids = st.integers(0, vocab - 1)
+    utts = draw(st.lists(st.lists(ids, min_size=1, max_size=40), min_size=1, max_size=40))
     return Corpus(utts, vocab)
 
 
@@ -69,6 +79,13 @@ def test_pair_counts_match_oracle(corpus):
 @PROFILE
 @given(corpora(), st.integers(0, 12))
 def test_train_matches_oracle(corpus, extra):
+    target = corpus.vocab_size + extra
+    assert BpeModel.train(corpus, target).merges == bpe_train_merges(corpus, target)
+
+
+@PROFILE
+@given(wide_corpora(), st.integers(0, 30))
+def test_train_matches_oracle_on_wide_corpora(corpus, extra):
     target = corpus.vocab_size + extra
     assert BpeModel.train(corpus, target).merges == bpe_train_merges(corpus, target)
 
