@@ -8,6 +8,8 @@ On-disk formats handled here:
   defaults to ``1 + max(id)``.
 * Feature binary: magic ``ABPEFEAT``, u32 LE version (=1), u64 LE row
   count, u64 LE dim, then row-major little-endian float32 values.
+  Every matrix, read or written in either form, must be finite and fit
+  float32.
 * Feature CSV: comma-separated decimals, one row per line, constant
   column count. ``load_features`` sniffs the magic bytes to pick the
   parser.
@@ -33,6 +35,7 @@ TOKEN_HEADER_PREFIX = "#vocab"
 FEATURE_MAGIC = b"ABPEFEAT"
 FEATURE_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<8sIQQ")
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,13 @@ def save_tokens(corpus: Corpus, path: str) -> None:
 
 
 def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
+    """``values`` if it is 2-D, non-empty and every value fits float32."""
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise FormatError(f"{origin}: feature matrix must be 2-D and non-empty")
     if not np.isfinite(values).all():
         raise FormatError(f"{origin}: non-finite value")
+    if values.max() > _F32_MAX or values.min() < -_F32_MAX:
+        raise FormatError(f"{origin}: value outside the float32 range")
     return values
 
 
@@ -186,9 +192,9 @@ def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: in
     return fields[2:]
 
 
-def _pack_matrix(magic: bytes, version: int, values: np.ndarray) -> bytes:
+def _pack_matrix(magic: bytes, version: int, values: np.ndarray, origin: str) -> bytes:
     """Magic, u32 version, u64 rows, u64 dim, then row-major float32 values."""
-    n, d = values.shape
+    n, d = _check_matrix(values, origin).shape
     return _MATRIX_HEADER.pack(magic, version, n, d) + values.astype("<f4").tobytes()
 
 
@@ -236,10 +242,9 @@ def load_features(path: str) -> FeatureMatrix:
 
 def save_features(values: FeatureMatrix, path: str) -> None:
     """Write a feature matrix in the binary format (float32 payload)."""
-    arr = np.asarray(values, dtype=np.float64)
-    _check_matrix(arr, path)
+    blob = _pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, np.asarray(values, dtype=np.float64), path)
     with open(path, "wb") as fh:
-        fh.write(_pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, arr))
+        fh.write(blob)
 
 
 @dataclass(frozen=True)

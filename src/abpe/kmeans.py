@@ -28,19 +28,57 @@ def _as_features(features, dim: int | None = None) -> np.ndarray:
     return x
 
 
+# doubles per temporary array in _nearest (about 4 MB)
+_BLOCK = 500_000
+
+
 def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: index of the nearest centroid and the squared distance to it."""
-    n = x.shape[0]
+    """Per row: index of the nearest centroid and the squared distance to it.
+
+    Exact by definition: the label is the lowest index among the minima of
+    ``((row - c) ** 2).sum()`` over the centroids, and the distance is that
+    expression's value for the label, bit for bit, whatever the BLAS.
+
+    Each block of rows is screened with one matmul, ``‖x‖² − 2x·cᵀ + ‖c‖²``.
+    In any BLAS summation order that value is within
+    ``bound = 4·(dim+4)·(eps·(‖x‖² + max‖c‖²) + smallest subnormal)`` of the
+    exact one, so a centroid screened more than ``2·bound`` above the row's
+    screened minimum cannot be (or tie) the exact nearest. The centroids left,
+    one per row unless the row is near a tie, get the exact formula, and the
+    row takes the lowest index among their minima; that value is the returned
+    distance.
+    Values within the float32 range cannot overflow any of this in float64.
+    Every temporary holds at most about ``_BLOCK`` doubles.
+    """
+    n, dim = x.shape
+    k = centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    # keep the (chunk, k, dim) broadcast under ~2M doubles
-    step = max(1, 2_000_000 // max(1, centroids.shape[0] * centroids.shape[1]))
+    cc = (centroids**2).sum(axis=1)
+    fin = np.finfo(np.float64)
+    # rounding of both formulas, relative to ‖x‖² + max‖c‖², plus underflow
+    slack = 4 * (dim + 4)
+    step = max(1, _BLOCK // max(k, dim))
+    pairs_step = max(1, _BLOCK // dim)
     for s in range(0, n, step):
-        block = x[s : s + step]
-        d = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        lab = np.argmin(d, axis=1)
-        labels[s : s + step] = lab
-        dists[s : s + step] = d[np.arange(d.shape[0]), lab]
+        xb = x[s : s + step]
+        xx = (xb**2).sum(axis=1)
+        d = xb @ centroids.T
+        d *= -2.0
+        d += xx[:, None]
+        d += cc
+        bound = slack * (fin.eps * (xx + cc.max()) + fin.smallest_subnormal)
+        rows, cols = np.nonzero(d <= (d.min(axis=1) + 2.0 * bound)[:, None])
+        exact = np.concatenate([
+            ((xb[rows[a : a + pairs_step]] - centroids[cols[a : a + pairs_step]]) ** 2).sum(axis=1)
+            for a in range(0, rows.size, pairs_step)
+        ])
+        # pairs come by row, then index, and the sort is stable: sorted by row,
+        # then exact distance, each row's first pair is its lowest-index minimum
+        order = np.lexsort((exact, rows))
+        first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+        labels[s : s + step] = cols[first]
+        dists[s : s + step] = exact[first]
     return labels, dists
 
 
@@ -89,6 +127,10 @@ class KMeansModel:
     inertia: float | None = None
     n_iter: int | None = None
     inertia_per_iter: tuple[float, ...] = field(default=(), repr=False)
+
+    def __post_init__(self) -> None:
+        # centroids a file could not hold would also break _nearest's bound
+        _check_matrix(self.centroids, "centroids")
 
     @property
     def k(self) -> int:
@@ -152,7 +194,7 @@ class KMeansModel:
         return [int(c) for c in labels]
 
     def to_bytes(self) -> bytes:
-        return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids)
+        return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids, "centroids")
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -108,6 +108,8 @@ def auto_bleu(text, n: int) -> float:
 
 def self_bleu(texts, n: int) -> float:
     """Mean clipped n-gram precision of each text against all the others."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     texts = list(texts)
     if len(texts) < 2:
         raise ValueError("need at least 2 texts")

@@ -170,6 +170,23 @@ def test_kmeans_fit_and_discretize(tmp_path):
     assert labels[0] != labels[-1]
 
 
+@pytest.mark.parametrize("sub", ["kmeans-fit", "discretize"])
+def test_features_outside_float32_exit_1_without_warning(tmp_path, capsys, sub):
+    good, big, km = tmp_path / "good.csv", tmp_path / "big.csv", tmp_path / "km.bin"
+    good.write_text("1,0\n0,1\n2,0\n0,2\n", encoding="utf-8")
+    big.write_text("1e39,0\n0,1\n2e39,0\n0,2\n", encoding="utf-8")
+    assert run_cli("kmeans-fit", "--in", good, "--k", 2, "--seed", 0, "--out", km) == 0
+    out = tmp_path / "out"
+    argv = {"kmeans-fit": ["--in", big, "--k", 2, "--seed", 0],
+            "discretize": ["--model", km, "--in", big]}[sub]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(sub, *argv, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {big}: value outside the float32 range\n"
+    assert not out.exists()
+
+
 def test_kmeans_fit_sample_rows(tmp_path):
     rng = np.random.default_rng(6)
     fpath = tmp_path / "f.csv"

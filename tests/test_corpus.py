@@ -160,6 +160,25 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             load_features(str(path))
 
+    @pytest.mark.parametrize("value", ["1e39", "-1e39", "3.4028236e38"])
+    def test_csv_outside_float32_rejected(self, tmp_path, value):
+        path = write(tmp_path / "f.csv", f"0,{value}\n1,2")
+        with pytest.raises(FormatError, match="value outside the float32 range"):
+            load_features(path)
+
+    def test_float32_extremes_roundtrip(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        values = np.array([[top, -top], [1e-300, 0.0]])
+        path = str(tmp_path / "f.bin")
+        save_features(values, path)
+        assert load_features(path).tolist() == [[top, -top], [0.0, 0.0]]
+
+    def test_save_outside_float32_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "f.bin"
+        with pytest.raises(FormatError, match="value outside the float32 range"):
+            save_features(np.array([[1e39, 0.0]]), str(path))
+        assert not path.exists()
+
     def test_ragged_csv_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="column"):
             load_features(write(tmp_path / "f.csv", "1,2\n3"))

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from abpe import FormatError, KMeansModel
+from abpe import FormatError, KMeansModel, kmeans
 from abpe.kmeans import _nearest, _update_centroids
 
 from oracles import (
@@ -55,6 +57,20 @@ def test_tie_breaks_to_lowest_centroid_index():
     assert model.assign(np.array([[0.0, 0.0]])) == [2]
 
 
+@pytest.mark.parametrize("block", [1, 5, 40])
+def test_nearest_is_the_same_in_any_block_size(monkeypatch, block):
+    # integer rows and centroids with repeats: exact ties in many rows
+    rng = np.random.default_rng(10)
+    x = rng.integers(-2, 3, size=(37, 3)).astype(np.float64)
+    centroids = rng.integers(-2, 3, size=(9, 3)).astype(np.float64)
+    want = _nearest(x, centroids)
+    assert want[0].tolist() == nearest_centroid_bruteforce(x, centroids)
+    monkeypatch.setattr(kmeans, "_BLOCK", block)
+    labels, dists = _nearest(x, centroids)
+    assert labels.tolist() == want[0].tolist()
+    assert dists.tobytes() == want[1].tobytes()
+
+
 def test_inertia_history_is_monotone_and_fit_beats_seeding():
     rng = np.random.default_rng(4)
     x = blobs(rng, [(0, 0), (5, 5), (9, 0)], 20, spread=0.8)
@@ -90,6 +106,27 @@ def test_centroids_distinct_on_distinct_data():
     assert len(rounded) == 4
 
 
+def test_golden_fit_and_assign_on_a_mixture():
+    """k=64, dim 96 on a 100-component mixture, 3 iterations: the digests pin
+    every centroid byte, the inertia history and held-out labels, so a faster
+    distance computation must reproduce them."""
+    rng = np.random.default_rng(12)
+    means = rng.standard_normal((100, 96)) * 3.0
+    rows = means[rng.integers(0, 100, 600)] + rng.standard_normal((600, 96))
+    model = KMeansModel.fit(rows[:400], 64, seed=4, max_iters=3, tol=0)
+    assert model.n_iter == 3
+
+    def sha(blob):
+        return hashlib.sha256(blob).hexdigest()
+
+    assert sha(model.to_bytes()) == (
+        "b585cab853cbadb8686e855191ac68f4ddb3e5abf286ae8d576ad8cf4e3bd035")
+    assert sha(repr(model.inertia_per_iter).encode()) == (
+        "aa63a2e5191bf1d7a3bc9ea2387c522fc25640d4ab6eb5756ea8679cade55610")
+    assert sha(repr(model.assign(rows[400:])).encode()) == (
+        "01cae560cd742f533dd34296ccea906f8dc923b341f6c0169c4cec847bfd9ff1")
+
+
 def test_empty_cluster_repair_moves_to_farthest_point():
     x = np.array([[0.0, 0.0], [0.1, 0.0], [4.0, 4.0], [4.2, 4.0]])
     centroids = np.array([[0.0, 0.0], [4.0, 4.0], [100.0, 100.0]])
@@ -110,6 +147,24 @@ def test_non_finite_features_rejected():
     x[1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         KMeansModel.fit(x, 2, seed=0)
+
+
+def test_features_outside_float32_rejected():
+    x = np.zeros((4, 2))
+    x[2, 0] = -1e39
+    with pytest.raises(FormatError, match="features: value outside the float32 range"):
+        KMeansModel.fit(x, 2, seed=0)
+    model = KMeansModel(centroids=np.array([[0.0, 1.0], [2.0, 3.0]]))
+    with pytest.raises(FormatError, match="float32"):
+        model.assign(x)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1e39, "value outside the float32 range"), (np.nan, "non-finite value"),
+])
+def test_centroids_a_model_file_cannot_hold_rejected(value, message):
+    with pytest.raises(FormatError, match=f"centroids: {message}"):
+        KMeansModel(centroids=np.array([[0.0, 1.0], [value, 2.0]]))
 
 
 def test_dim_mismatch_rejected():

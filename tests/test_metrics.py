@@ -168,6 +168,11 @@ class TestSelfBleu:
         with pytest.raises(ValueError, match="at least 2"):
             self_bleu([[1, 2, 3]], 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            self_bleu([[1, 2], [1, 3]], n)
+
 
 class TestVert:
     def test_fully_distinct_corpus_is_zero(self):

@@ -1,21 +1,31 @@
-"""Property tests of BPE and the n-gram model, against the oracles where they exist.
+"""Property tests of BPE, the n-gram model and k-means assignment, against the
+oracles where they exist.
 
 Alphabets of 2-4 symbols (2-6 for the wide trainer corpora) make runs and
-tied pair counts common. The settings are fixed (derandomized, no example
+tied pair counts common; k-means inputs of small integers make tied and
+duplicated centroids common. The settings are fixed (derandomized, no example
 database), so every run of the same tree checks the same examples.
 """
 
 import math
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from abpe import BpeModel, Corpus, NgramModel
 from abpe.bpe import _count_pairs
+from abpe.kmeans import _nearest
 
-from oracles import bpe_encode_stepwise, bpe_pair_counts, bpe_train_merges, ngram_cond_prob
+from oracles import (
+    bpe_encode_stepwise,
+    bpe_pair_counts,
+    bpe_train_merges,
+    nearest_centroid_bruteforce,
+    ngram_cond_prob,
+)
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -118,3 +128,49 @@ def test_next_dist_is_the_scoring_path(corpus, order, data):
     for event in range(corpus.vocab_size + 1):
         want = ngram_cond_prob(corpus, order, add_k, model.weights, seq, event)
         assert abs(dist[event] - want) <= 1e-12
+
+
+@st.composite
+def rows_and_centroids(draw, values=st.integers(-3, 3)):
+    """Up to 12 rows and 10 centroids of dim 1-6 over ``values``; some
+    centroids repeat, and some rows sit on a centroid or halfway between two."""
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(values, min_size=dim, max_size=dim)
+    centroids = draw(st.lists(vector, min_size=1, max_size=7))
+    centroids = draw(st.permutations(centroids + draw(st.lists(st.sampled_from(centroids),
+                                                               max_size=3))))
+    rows = draw(st.lists(vector, min_size=1, max_size=8))
+    pairs = st.tuples(st.sampled_from(centroids), st.sampled_from(centroids))
+    rows += [[(a + b) / 2 for a, b in zip(*pair)] for pair in draw(st.lists(pairs, max_size=4))]
+    return np.array(rows, dtype=np.float64), np.array(centroids, dtype=np.float64)
+
+
+def check_nearest(x, centroids):
+    labels, dists = _nearest(x, centroids)
+    assert labels.tolist() == nearest_centroid_bruteforce(x, centroids)
+    exact = ((x - centroids[labels]) ** 2).sum(axis=1)
+    assert dists.tobytes() == exact.tobytes()
+
+
+@PROFILE
+@given(rows_and_centroids())
+def test_nearest_matches_oracle(case):
+    check_nearest(*case)
+
+
+@PROFILE
+@given(rows_and_centroids(), st.sampled_from([1e6, 1e8, 3e9]))
+def test_nearest_matches_oracle_far_from_the_origin(case, offset):
+    """A common offset leaves every exact distance as it was; from 1e8 on the
+    matmul's rounding exceeds the gaps between them, so only the exact
+    re-decision of near ties keeps the labels right."""
+    x, centroids = case
+    check_nearest(x + offset, centroids + offset)
+
+
+@PROFILE
+@given(rows_and_centroids(st.floats(-100, 100, width=32)))
+def test_nearest_matches_oracle_with_float32_centroids(case):
+    """Centroids at float32 precision, as ``KMeansModel.load`` gives them;
+    with dim < 8 numpy sums in the oracle's order, so the distances agree."""
+    check_nearest(*case)
