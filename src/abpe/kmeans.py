@@ -28,6 +28,17 @@ def _as_features(features, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def _rounding_bound(dim: int, sq_norms):
+    """How far the screen ``‖a‖² − 2a·b + ‖b‖²`` may lie from the exact
+    ``((a - b) ** 2).sum()``, both in float64 and each in any summation
+    order, for vectors of length ``dim`` with ``sq_norms = ‖a‖² + ‖b‖²``:
+    ``4·(dim+4)·(eps·sq_norms + smallest subnormal)``, that is both formulas'
+    rounding relative to ``sq_norms`` plus underflow, with room to spare.
+    """
+    fin = np.finfo(np.float64)
+    return 4 * (dim + 4) * (fin.eps * sq_norms + fin.smallest_subnormal)
+
+
 # doubles per temporary array in _nearest (about 4 MB)
 _BLOCK = 500_000
 
@@ -39,10 +50,9 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``((row - c) ** 2).sum()`` over the centroids, and the distance is that
     expression's value for the label, bit for bit, whatever the BLAS.
 
-    Each block of rows is screened with one matmul, ``‖x‖² − 2x·cᵀ + ‖c‖²``.
-    In any BLAS summation order that value is within
-    ``bound = 4·(dim+4)·(eps·(‖x‖² + max‖c‖²) + smallest subnormal)`` of the
-    exact one, so a centroid screened more than ``2·bound`` above the row's
+    Each block of rows is screened with one matmul, ``‖x‖² − 2x·cᵀ + ‖c‖²``,
+    which is within ``bound = _rounding_bound(dim, ‖x‖² + max‖c‖²)`` of the
+    exact value, so a centroid screened more than ``2·bound`` above the row's
     screened minimum cannot be (or tie) the exact nearest. The centroids left,
     one per row unless the row is near a tie, get the exact formula, and the
     row takes the lowest index among their minima; that value is the returned
@@ -55,9 +65,6 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     cc = (centroids**2).sum(axis=1)
-    fin = np.finfo(np.float64)
-    # rounding of both formulas, relative to ‖x‖² + max‖c‖², plus underflow
-    slack = 4 * (dim + 4)
     step = max(1, _BLOCK // max(k, dim))
     pairs_step = max(1, _BLOCK // dim)
     for s in range(0, n, step):
@@ -67,7 +74,7 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
         d *= -2.0
         d += xx[:, None]
         d += cc
-        bound = slack * (fin.eps * (xx + cc.max()) + fin.smallest_subnormal)
+        bound = _rounding_bound(dim, xx + cc.max())
         rows, cols = np.nonzero(d <= (d.min(axis=1) + 2.0 * bound)[:, None])
         exact = np.concatenate([
             ((xb[rows[a : a + pairs_step]] - centroids[cols[a : a + pairs_step]]) ** 2).sum(axis=1)
@@ -82,22 +89,46 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, dists
 
 
-def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
+def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007).
+
+    Each draw after the first picks a row with probability proportional to
+    ``d2``, its squared distance to the nearest seed so far, so the draws
+    depend on every bit of ``d2``. It stays exact: each entry is the minimum
+    of ``((row - seed) ** 2).sum()`` over the seeds, as a full recompute per
+    seed would give it.
+
+    A new seed ``s`` can change only the rows whose exact distance to it is
+    below their ``d2``. One matvec screens every row with
+    ``‖x‖² − 2x·s + ‖s‖²``, which lies within
+    ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance, so
+    a row screened above ``d2 + 2·bound`` cannot fall, nor can a row whose
+    ``d2`` is already ``+0.0``. Only the rows left get the exact formula and
+    take its minimum with ``d2``.
+
+    Once every ``d2`` is zero it stays zero and the rng is not drawn again:
+    the remaining seeds are the lowest unused rows, in order.
+    """
+    n, dim = x.shape
+    xx = (x**2).sum(axis=1)
     chosen = [int(rng.integers(0, n))]
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
         total = float(d2.sum())
-        if total > 0.0:
-            u = rng.random() * total
-            j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
-        else:
-            # all remaining points coincide with a centroid; take the first unused
-            taken = set(chosen)
-            j = next(i for i in range(n) if i not in taken)
+        if total == 0.0:
+            unused = np.ones(n, dtype=bool)
+            unused[chosen] = False
+            chosen += np.flatnonzero(unused)[: k - len(chosen)].tolist()
+            break
+        u = rng.random() * total
+        j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
         chosen.append(j)
-        d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
-    return x[chosen].copy()
+        screen = xx - 2.0 * (x @ x[j]) + xx[j]
+        rows = np.flatnonzero(
+            (screen <= d2 + 2.0 * _rounding_bound(dim, xx + xx[j])) & (d2 > 0.0)
+        )
+        d2[rows] = np.minimum(d2[rows], ((x[rows] - x[j]) ** 2).sum(axis=1))
+    return chosen
 
 
 def _update_centroids(
@@ -166,7 +197,7 @@ class KMeansModel:
             raise ValueError("tol must be >= 0")
 
         rng = np.random.default_rng(seed)
-        centroids = _plusplus_init(x, k, rng)
+        centroids = x[_plusplus_init(x, k, rng)]
         history: list[float] = []
         n_iter = 0
         for it in range(max_iters):

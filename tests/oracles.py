@@ -110,6 +110,27 @@ def nearest_centroid_bruteforce(features, centroids):
     return labels
 
 
+def kmeans_plusplus_naive(x, k, rng):
+    """Row indices of k-means++ seeds: every draw recomputes the distance of
+    every row to the new seed in full, and once every row coincides with a
+    seed the rest are the first unused rows, one scan per seed."""
+    n = x.shape[0]
+    chosen = [int(rng.integers(0, n))]
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            u = rng.random() * total
+            j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
+        else:
+            # all remaining points coincide with a centroid; take the first unused
+            taken = set(chosen)
+            j = next(i for i in range(n) if i not in taken)
+        chosen.append(j)
+        d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
+    return chosen
+
+
 def best_two_means_partition(features):
     """Exhaustive optimum of 2-means over <= 12 points.
 

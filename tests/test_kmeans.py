@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from abpe import FormatError, KMeansModel, kmeans
-from abpe.kmeans import _nearest, _update_centroids
+from abpe.kmeans import _nearest, _plusplus_init, _update_centroids
 
 from oracles import (
     best_two_means_partition,
+    kmeans_plusplus_naive,
     labels_to_partition,
     nearest_centroid_bruteforce,
 )
@@ -125,6 +126,34 @@ def test_golden_fit_and_assign_on_a_mixture():
         "aa63a2e5191bf1d7a3bc9ea2387c522fc25640d4ab6eb5756ea8679cade55610")
     assert sha(repr(model.assign(rows[400:])).encode()) == (
         "01cae560cd742f533dd34296ccea906f8dc923b341f6c0169c4cec847bfd9ff1")
+
+
+def test_golden_seeding_at_the_paper_shape():
+    """k-means++ seeds at k=500, dim 768 over 800 rows, generated as the
+    discretize-k500 benchmark generates its seed-1 fit rows (a 2000-component
+    float32 mixture, the first 800 of 2400 rows). The digest was recorded
+    with a full recompute of every row's distance per draw, so screening
+    must keep every draw."""
+    k, dim, n = 500, 768, 2400
+    rng = np.random.default_rng([1, 768])
+    means = rng.standard_normal((4 * k, dim), dtype=np.float32)
+    rows = means[rng.integers(0, len(means), size=n)]
+    rows += rng.standard_normal((n, dim), dtype=np.float32)
+    x = rows[:800].astype(np.float64)
+    seeds = _plusplus_init(x, k, np.random.default_rng(0))
+    assert hashlib.sha256(x[seeds].tobytes()).hexdigest() == (
+        "6d4365aaeb3180f08907c3f987c0e659ca6da7c3376316852b46d0e8746825d1")
+
+
+def test_seeding_past_the_distinct_rows_takes_the_lowest_unused():
+    # 3 distinct rows among 30 and k=12: once the three are seeds every d2 is
+    # zero, and the other nine seeds are the lowest unused rows
+    rng = np.random.default_rng(13)
+    x = rng.random((3, 5))[rng.integers(0, 3, 30)]
+    seeds = _plusplus_init(x, 12, np.random.default_rng(2))
+    assert seeds == kmeans_plusplus_naive(x, 12, np.random.default_rng(2))
+    assert len(np.unique(x[seeds[:3]], axis=0)) == 3
+    assert seeds[3:] == sorted(set(range(30)) - set(seeds[:3]))[:9]
 
 
 def test_empty_cluster_repair_moves_to_farthest_point():

@@ -1,5 +1,5 @@
-"""Property tests of BPE, the n-gram model and k-means assignment, against the
-oracles where they exist.
+"""Property tests of BPE, the n-gram model, k-means assignment and k-means++
+seeding, against the oracles where they exist.
 
 Alphabets of 2-4 symbols (2-6 for the wide trainer corpora) make runs and
 tied pair counts common; k-means inputs of small integers make tied and
@@ -17,12 +17,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from abpe import BpeModel, Corpus, NgramModel
 from abpe.bpe import _count_pairs
-from abpe.kmeans import _nearest
+from abpe.kmeans import _nearest, _plusplus_init
 
 from oracles import (
     bpe_encode_stepwise,
     bpe_pair_counts,
     bpe_train_merges,
+    kmeans_plusplus_naive,
     nearest_centroid_bruteforce,
     ngram_cond_prob,
 )
@@ -174,3 +175,39 @@ def test_nearest_matches_oracle_with_float32_centroids(case):
     """Centroids at float32 precision, as ``KMeansModel.load`` gives them;
     with dim < 8 numpy sums in the oracle's order, so the distances agree."""
     check_nearest(*case)
+
+
+@st.composite
+def seeding_cases(draw, values=st.integers(-3, 3)):
+    """Up to 16 rows of dim 1-12 (numpy's sum unrolls from 8 terms on) drawn
+    from at most 5 distinct vectors over ``values``, and k from 1 to n, drawn
+    as n minus a small number: rows repeat, and the draws go on past the
+    distinct rows, where a row left above zero shows."""
+    dim = draw(st.integers(1, 12))
+    vector = st.lists(values, min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vector, min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=16))
+    k = len(rows) - draw(st.integers(0, len(rows) - 1))
+    return np.array(rows, dtype=np.float64), k
+
+
+def check_seeding(x, k, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _plusplus_init(x, k, rng) == kmeans_plusplus_naive(x, k, oracle_rng)
+    # and the same number of draws from the rng
+    assert rng.random() == oracle_rng.random()
+
+
+@PROFILE
+@given(seeding_cases(), st.sampled_from([0.0, 1e6, 1e8, 3e9]), st.integers(0, 2**32 - 1))
+def test_plusplus_init_matches_oracle(case, offset, seed):
+    """The same seeds, so the same centroid bytes, as a full recompute per
+    draw; from 1e8 on the screen's rounding exceeds the integer gaps."""
+    x, k = case
+    check_seeding(x + offset, k, seed)
+
+
+@PROFILE
+@given(seeding_cases(st.floats(-100, 100, width=32)), st.integers(0, 2**32 - 1))
+def test_plusplus_init_matches_oracle_with_float32_values(case, seed):
+    check_seeding(*case, seed)
