@@ -9,10 +9,26 @@ Frequency ties go to the lexicographically smallest (left, right) pair.
 Training keeps each utterance's pair counts and, after a merge, recounts
 only the utterances that hold the merged pair.
 
-Encoding merges the lowest-ranked adjacent pair (all its non-overlapping
-occurrences) until no adjacent pair has a rank (Sennrich et al. 2016). That
-equals replaying the merges in rank order, the training-time segmentation:
-merge r creates unit base+r, so no pair of rank <= r can appear after it.
+Encoding gives the lowest-rank rule of Sennrich et al. 2016: merge the
+lowest-ranked adjacent pair (all its non-overlapping occurrences) until no
+pair has a rank. That equals replaying the merges in rank order, the
+training-time segmentation: merge r creates unit base+r, so no pair of rank
+<= r can appear after it. The encoder runs it on a whole corpus at once, as
+one int64 stream with a separator id before every utterance and after the
+last, in blocks of whole utterances. Each round looks up the rank of every
+adjacent pair with one ``searchsorted`` and merges two kinds of site: each
+utterance's lowest-rank sites, which is one step of the rule, and every
+sealed site. A site (a, b) of rank r is sealed when no merge of rank below r
+has a as its right operand or b as its left operand. Then no earlier merge
+can take either token, and a unit made beside it pairs with it only at a
+rank above r, so the replay merges this site at step r whatever happens
+around it; merging it now changes nothing else. Picked sites overlap only
+in a run of one pair (a, a). The run takes every other site from its start,
+as the replay does: all copies of a unit in an utterance are made in one
+round, so none can join the run later. An utterance leaves the stream once
+no pair in it has a rank. Merging every site below both neighbours' ranks
+instead would be wrong: in ``0 0 44 48``, merging (44, 48) can make a pair
+with 0 that outranks (0, 0).
 Decoding expands merged units recursively, so decode(encode(x)) == x.
 
 Merges file: line 1 ``#abpe 1``, line 2 ``#base <N>``, then one merge per
@@ -23,15 +39,25 @@ id N+i.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+
+import numpy as np
 
 from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids, _read_lines
 from .errors import FormatError
 
 MERGES_VERSION = 1
 MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
+_BLOCK_TOKENS = 16384  # the encoder's stream holds whole utterances up to this many tokens
 
 Pair = tuple[int, int]
+
+
+class AlphabetError(ValueError):
+    """An id to encode lies outside the base alphabet; ``index`` is the sequence that holds it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 def _check_base_size(base_size: int) -> None:
@@ -77,28 +103,40 @@ class BpeModel:
     def __init__(self, base_size: int, merges: list[Pair]):
         _check_base_size(base_size)
         ranks: dict[Pair, int] = {}
-        unit_len = [1] * base_size
         for i, (a, b) in enumerate(merges):
             limit = base_size + i
             if not (0 <= a < limit and 0 <= b < limit):
                 raise ValueError(f"merge {i}: operand out of range for unit {limit}")
             if ranks.setdefault((a, b), i) != i:
                 raise ValueError(f"merge {i}: duplicate pair ({a}, {b})")
-            unit_len.append(unit_len[a] + unit_len[b])
         self.base_size = base_size
         self.merges: list[Pair] = list(ranks)
-        self._ranks = ranks
-        self._unit_len = unit_len
+        # the encoder's tables; rank len(merges) means "no merge"
+        none = len(self.merges)
+        rank = np.arange(none)
+        left, right = np.array(self.merges, dtype=np.int64).reshape(-1, 2).T
+        min_rank_as_right = np.full(self.vocab_size, none)
+        min_rank_as_left = np.full(self.vocab_size, none)
+        for operands, min_rank in ((right, min_rank_as_right), (left, min_rank_as_left)):
+            units, first = np.unique(operands, return_index=True)  # first is the lowest rank
+            min_rank[units] = first
+        sealed = (min_rank_as_right[left] >= rank) & (min_rank_as_left[right] >= rank)
+        self._sealed = np.append(sealed, False)  # by rank
+        # pair (a, b) has code a * _width + b; the separator, vocab_size, makes
+        # no code of a real pair. Each merge's code starts an interval of codes
+        # that holds its rank and code + 1 one that holds none (empty when the
+        # next code is code + 1), so a code's rank is
+        # _rank_at[searchsorted(_bounds, code, "right")].
+        self._width = self.vocab_size + 1
+        codes = left * self._width + right
+        order = np.argsort(codes)
+        self._bounds = np.stack((codes[order], codes[order] + 1), axis=1).ravel()
+        self._rank_at = np.full(2 * none + 1, none)
+        self._rank_at[1::2] = order
 
     @property
     def vocab_size(self) -> int:
         return self.base_size + len(self.merges)
-
-    def unit_len(self, unit_id: int) -> int:
-        """Number of base tokens the unit expands to."""
-        if not 0 <= unit_id < self.vocab_size:
-            raise ValueError(f"unit id {unit_id} out of range")
-        return self._unit_len[unit_id]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BpeModel):
@@ -167,16 +205,8 @@ class BpeModel:
         return cls(base, merges)
 
     def encode(self, seq: TokenSequence) -> TokenSequence:
-        """Merge the lowest-ranked adjacent pair until none has a rank; input must be base ids."""
-        _check_ids(seq, self.base_size, "id {id} at position {pos} is outside the base alphabet")
-        none = len(self.merges)  # above every rank
-        out = list(seq)
-        while len(out) > 1:
-            rank = min(map(self._ranks.get, zip(out, out[1:]), repeat(none)))
-            if rank == none:
-                break
-            out = _merge_pair(out, self.merges[rank], self.base_size + rank)
-        return out
+        """Encode one sequence of base ids: ``encode_corpus`` on a corpus of one."""
+        return self.encode_corpus([seq]).utterances[0]
 
     def decode(self, seq: TokenSequence) -> TokenSequence:
         """Expand merged units back to base tokens."""
@@ -197,8 +227,79 @@ class BpeModel:
                     stack.append(a)
         return out
 
-    def encode_corpus(self, corpus: Corpus) -> Corpus:
-        return Corpus([self.encode(u) for u in corpus.utterances], self.vocab_size)
+    def encode_corpus(self, corpus: Corpus | list[TokenSequence]) -> Corpus:
+        """Encode every utterance of a corpus, or of a list of sequences, of base ids.
+
+        An id outside the base alphabet raises ``AlphabetError`` for the
+        first bad id of the first utterance that holds one.
+        """
+        utterances = corpus.utterances if isinstance(corpus, Corpus) else corpus
+        out: list[TokenSequence] = []
+        block: list[TokenSequence] = []
+        size = 0
+        for utt in utterances:
+            if block and size + len(utt) > _BLOCK_TOKENS:
+                out += self._encode_block(block, len(out))
+                block, size = [], 0
+            block.append(utt)
+            size += len(utt)
+        out += self._encode_block(block, len(out))
+        return Corpus(out, self.vocab_size)
+
+    def _encode_block(self, utterances: list[TokenSequence], first: int) -> list[TokenSequence]:
+        """Encode utterances ``first``, ``first + 1``, ... of a corpus in one stream."""
+        sep = self.vocab_size
+        stream = [sep]
+        for utt in utterances:
+            stream.extend(utt)
+            stream.append(sep)
+        try:
+            t = np.array(stream, dtype=np.int64)
+            # read unsigned, only the separators and the bad ids reach base_size
+            ok = np.count_nonzero(t.view(np.uint64) >= self.base_size) == len(utterances) + 1
+        except OverflowError:
+            ok = False
+        if not ok:
+            for i, utt in enumerate(utterances):
+                try:
+                    _check_ids(utt, self.base_size,
+                               "id {id} at position {pos} is outside the base alphabet")
+                except ValueError as exc:
+                    raise AlphabetError(str(exc), first + i) from None
+        out: list[TokenSequence] = [[] for _ in utterances]
+        active = np.arange(len(utterances))  # the utterances still in the stream
+        none = len(self.merges)
+        at = (t == sep).nonzero()[0]
+        while len(active):
+            # utterance i spans t[at[i]:at[i + 1]], its separator first;
+            # sites (pairs) are indexed by their left position
+            starts = at[:-1]
+            span = at[1:] - starts
+            code = t[:-1] * self._width + t[1:]
+            rank = self._rank_at[self._bounds.searchsorted(code, "right")]
+            lowest = np.minimum.reduceat(rank, starts)
+            done = lowest == none
+            keep = np.ones(len(t), dtype=bool)
+            if np.count_nonzero(done):
+                tokens = t[:-1][done.repeat(span)].tolist()
+                pos = 0
+                for i, n in zip(active[done].tolist(), span[done].tolist()):
+                    out[i] = tokens[pos + 1 : pos + n]
+                    pos += n
+                keep[:-1] = (~done).repeat(span)
+                active = active[~done]
+                lowest[done] = -1  # picks no site
+            site = (self._sealed[rank] | (rank == lowest.repeat(span))).nonzero()[0]
+            step = site[1:] - site[:-1]
+            if np.count_nonzero(step == 1):
+                # a run of one pair (a, a): take every other site from its start
+                run_start = np.maximum.accumulate(np.where(np.append(True, step != 1), site, 0))
+                site = site[(site - run_start) % 2 == 0]
+            t[site] = self.base_size + rank[site]
+            keep[site + 1] = False
+            t = t[keep]
+            at = (t == sep).nonzero()[0]
+        return out
 
     def decode_corpus(self, corpus: Corpus) -> Corpus:
         return Corpus([self.decode(u) for u in corpus.utterances], self.base_size)

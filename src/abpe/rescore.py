@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bpe import BpeModel
+from .bpe import AlphabetError, BpeModel
 from .corpus import TokenSequence
 
 
@@ -59,13 +59,19 @@ def rescore(
     """Score every candidate with ``model.logprob`` and pick the argmax.
 
     When ``bpe`` is given, candidates are raw base-token sequences and are
-    encoded before scoring. ``length_norm`` divides each log score by the
-    scored sequence length; the default keeps the raw sequence probability.
+    encoded together before scoring. ``length_norm`` divides each log score
+    by the scored sequence length; the default keeps the raw sequence
+    probability.
     """
-    scores: list[float] = []
-    for i, cand in enumerate(candidates.candidates):
+    seqs = candidates.candidates
+    if bpe is not None:
         try:
-            seq = bpe.encode(cand) if bpe is not None else cand
+            seqs = bpe.encode_corpus(seqs).utterances
+        except AlphabetError as exc:
+            raise ValueError(f"candidate {exc.index}: {exc}") from None
+    scores: list[float] = []
+    for i, seq in enumerate(seqs):
+        try:
             score = model.logprob(seq)
         except ValueError as exc:
             raise ValueError(f"candidate {i}: {exc}") from None

@@ -46,6 +46,8 @@ def test_nonoverlapping_counting_on_runs():
 def test_encode_priority_example():
     model = BpeModel(2, [(0, 1)])
     assert model.encode([0, 1, 0, 1, 1]) == [2, 2, 1]
+    # any sequence of ints, not only a list
+    assert model.encode(np.array([0, 1, 0, 1, 1])) == model.encode((0, 1, 0, 1, 1)) == [2, 2, 1]
 
 
 def test_encode_requires_base_ids():
@@ -73,7 +75,7 @@ def test_decode_rejects_out_of_range():
 
 def test_unit_len_tracks_merge_tree():
     model = BpeModel(3, [(0, 1), (3, 2), (4, 4)])
-    assert [model.unit_len(u) for u in range(6)] == [1, 1, 1, 2, 3, 6]
+    assert [len(model.decode([u])) for u in range(6)] == [1, 1, 1, 2, 3, 6]
 
 
 def test_trainer_matches_oracle_on_random_small_corpora():
@@ -119,7 +121,7 @@ def test_expanded_unit_lengths_conserved():
     model = BpeModel.train(corpus, corpus.vocab_size + 10)
     for utt in corpus.utterances:
         encoded = model.encode(utt)
-        assert sum(model.unit_len(u) for u in encoded) == len(utt)
+        assert sum(len(model.decode([u])) for u in encoded) == len(utt)
 
 
 def _small_motif():
@@ -167,6 +169,36 @@ def test_golden_merges_and_encoding_at_paper_scale():
         "3595c229a837f9ad3c86415d21f7adaadf78ce6c02f2a7d7cb334b021052ad41")
     assert sha(dump_tokens(model.encode_corpus(corpus))) == (
         "7c609d4670fc90d71f1051958b0b77e396afdd6cfbfb3748362d4dad19998d03")
+
+
+def test_site_below_both_neighbours_waits_for_a_lower_merge_beside_it():
+    # (0, 0) ranks below its neighbours' pairs, but merging (44, 48) first
+    # makes (0, 50), which outranks (0, 0) and takes the second 0
+    model = BpeModel(50, [(44, 48), (0, 50), (0, 0)])
+    seq = [0, 0, 44, 48, 0, 0]
+    assert model.encode(seq) == [0, 51, 52] == bpe_encode_stepwise(50, model.merges, seq)
+
+
+def test_no_merge_crosses_an_utterance_boundary():
+    # with codes left * vocab_size + right, the pair (0, separator) would have
+    # the code of (1, 0) and merge the first utterance's last 0 across the end
+    model = BpeModel(2, [(1, 0)])
+    corpus = Corpus([[1, 0, 0], [1, 1], [0], []], 2)
+    assert model.encode_corpus(corpus).utterances == [[2, 0], [1, 1], [0], []]
+
+
+def test_corpus_longer_than_one_encoding_block_matches_oracle():
+    from abpe.bpe import _BLOCK_TOKENS, AlphabetError
+
+    corpus = synth_corpus(SynthSpec(8, 450, (30, 50), 6, (3, 6), 0.6, 1.2, seed=5))
+    assert corpus.total_tokens() > _BLOCK_TOKENS
+    model = BpeModel.train(corpus, 48)
+    assert model.encode_corpus(corpus).utterances == [
+        bpe_encode_stepwise(model.base_size, model.merges, u) for u in corpus.utterances]
+    # a bad id in a later block names its utterance's index in the whole corpus
+    with pytest.raises(AlphabetError, match="^id 8 at position 1 is outside") as exc:
+        model.encode_corpus(corpus.utterances + [[0, 8]])
+    assert exc.value.index == len(corpus)
 
 
 def test_pair_that_falls_to_a_tie_loses_to_the_smaller_pair():

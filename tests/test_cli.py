@@ -153,6 +153,17 @@ def test_unicode_bpe_encode_matches_token_encode(tmp_path, capsys):
     assert "does not cover max id 30" in capsys.readouterr().err
 
 
+def test_bpe_encode_names_a_bad_id_in_a_later_utterance(tmp_path, capsys):
+    merges, src, out = tmp_path / "m.merges", tmp_path / "in.tok", tmp_path / "out.tok"
+    BpeModel(3, [(0, 1)]).save(str(merges))
+    # the header covers id 7, so the loader accepts the file and the encoder rejects it
+    src.write_text("#vocab 8\n0 1 2\n2 2\n0 1 7 1\n1 0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("bpe-encode", "--model", merges, "--in", src, "--out", out) == 1
+    assert capsys.readouterr().err == "error: id 7 at position 2 is outside the base alphabet\n"
+    assert not out.exists()
+
+
 def test_kmeans_fit_and_discretize(tmp_path):
     rng = np.random.default_rng(5)
     feats = np.vstack([rng.normal(0, 0.1, (20, 3)), rng.normal(5, 0.1, (20, 3))])

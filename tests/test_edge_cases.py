@@ -46,7 +46,7 @@ def test_cascaded_merges_decode_in_order():
     # unit 4 = (0,1); unit 5 = (4,4); unit 6 = (5,2)
     model = BpeModel(4, [(0, 1), (4, 4), (5, 2)])
     assert model.decode([6]) == [0, 1, 0, 1, 2]
-    assert model.unit_len(6) == 5
+    assert len(model.decode([6])) == 5
     assert model.encode([0, 1, 0, 1, 2]) == [6]
 
 

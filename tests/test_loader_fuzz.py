@@ -56,7 +56,7 @@ def _use_merges(model, blob):
     seq = [i % model.base_size for i in range(6)]
     assert model.decode(model.encode(seq)) == seq
     units = range(model.vocab_size)
-    assert len(model.decode(units)) == sum(map(model.unit_len, units))
+    assert len(model.decode(units)) == sum(len(model.decode([u])) for u in units)
 
 
 def _use_tokens(corpus, blob):

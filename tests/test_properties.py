@@ -78,6 +78,31 @@ def test_encode_matches_stepwise_oracle(case):
     assert model.encode(seq) == bpe_encode_stepwise(model.base_size, model.merges, seq)
 
 
+@st.composite
+def models_and_corpora(draw):
+    """A model trained on a drawn corpus over 1-4 symbols (0 merges among
+    them), and a corpus over its base alphabet to encode. Sorted utterances
+    give long runs; empty and one-token utterances sit between the others."""
+    vocab = draw(st.integers(1, 4))
+    ids = st.integers(0, vocab - 1)
+    utt = st.lists(ids, max_size=24)
+    utt = st.one_of(utt, utt.map(sorted))
+    train = draw(st.lists(utt.filter(len), min_size=1, max_size=6))
+    model = BpeModel.train(Corpus(train, vocab), vocab + draw(st.integers(0, 12)))
+    return model, Corpus(draw(st.lists(utt, max_size=8)), vocab)
+
+
+@PROFILE
+@given(models_and_corpora())
+def test_encode_corpus_matches_stepwise_oracle(case):
+    model, corpus = case
+    encoded = model.encode_corpus(corpus).utterances
+    assert encoded == [bpe_encode_stepwise(model.base_size, model.merges, u)
+                       for u in corpus.utterances]
+    # and no merge crosses an utterance boundary
+    assert encoded == [model.encode_corpus([u]).utterances[0] for u in corpus.utterances]
+
+
 @PROFILE
 @given(corpora())
 def test_pair_counts_match_oracle(corpus):
