@@ -42,7 +42,8 @@ import heapq
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence, _check_ids, _parse_id, _parse_ids, _read_lines
+from .corpus import (Corpus, TokenSequence, _check_ids, _id_stream, _parse_id, _parse_ids,
+                     _read_lines)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -50,14 +51,6 @@ MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
 _BLOCK_TOKENS = 16384  # the encoder's stream holds whole utterances up to this many tokens
 
 Pair = tuple[int, int]
-
-
-class AlphabetError(ValueError):
-    """An id to encode lies outside the base alphabet; ``index`` is the sequence that holds it."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 def _check_base_size(base_size: int) -> None:
@@ -230,7 +223,7 @@ class BpeModel:
     def encode_corpus(self, corpus: Corpus | list[TokenSequence]) -> Corpus:
         """Encode every utterance of a corpus, or of a list of sequences, of base ids.
 
-        An id outside the base alphabet raises ``AlphabetError`` for the
+        An id outside the base alphabet raises ``IdRangeError`` for the
         first bad id of the first utterance that holds one.
         """
         utterances = corpus.utterances if isinstance(corpus, Corpus) else corpus
@@ -249,23 +242,8 @@ class BpeModel:
     def _encode_block(self, utterances: list[TokenSequence], first: int) -> list[TokenSequence]:
         """Encode utterances ``first``, ``first + 1``, ... of a corpus in one stream."""
         sep = self.vocab_size
-        stream = [sep]
-        for utt in utterances:
-            stream.extend(utt)
-            stream.append(sep)
-        try:
-            t = np.array(stream, dtype=np.int64)
-            # read unsigned, only the separators and the bad ids reach base_size
-            ok = np.count_nonzero(t.view(np.uint64) >= self.base_size) == len(utterances) + 1
-        except OverflowError:
-            ok = False
-        if not ok:
-            for i, utt in enumerate(utterances):
-                try:
-                    _check_ids(utt, self.base_size,
-                               "id {id} at position {pos} is outside the base alphabet")
-                except ValueError as exc:
-                    raise AlphabetError(str(exc), first + i) from None
+        message = "id {id} at position {pos} is outside the base alphabet"
+        t = _id_stream(utterances, self.base_size, message, [sep], [sep], first)
         out: list[TokenSequence] = [[] for _ in utterances]
         active = np.arange(len(utterances))  # the utterances still in the stream
         none = len(self.merges)

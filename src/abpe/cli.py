@@ -205,7 +205,7 @@ def _cmd_slm_train(args) -> None:
 def _cmd_score(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
-    lines = [repr(model.logprob(u)) for u in corpus.utterances]
+    lines = [repr(score) for score in model.logprobs(corpus.utterances)]
     _write("\n".join(lines) + "\n", args.out)
 
 
@@ -309,13 +309,9 @@ def _cmd_metrics_vert(args) -> None:
 def _cmd_metrics_syntax(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
-    pairs = []
-    skipped = 0
-    for i, utt in enumerate(corpus.utterances):
-        if len(utt) < 2 or len(utt) <= args.block:
-            skipped += 1
-            continue
-        pairs.append((utt, shuffle_corrupt(utt, args.block, seed=args.seed + i)))
+    pairs = [(utt, shuffle_corrupt(utt, args.block, seed=args.seed + i))
+             for i, utt in enumerate(corpus.utterances) if len(utt) > max(1, args.block)]
+    skipped = len(corpus) - len(pairs)
     if skipped:
         print(f"skipped {skipped} utterances too short to shuffle", file=sys.stderr)
     if not pairs:

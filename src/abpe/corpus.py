@@ -73,6 +73,35 @@ def _check_ids(seq, limit: int, message: str) -> None:
             raise ValueError(message.format(id=t, pos=pos, limit=limit))
 
 
+class IdRangeError(ValueError):
+    """An id lies outside its range; ``index`` is the sequence that holds it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
+               first: int) -> np.ndarray:
+    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` once every id of ``seqs``
+    is in ``[0, limit)`` (those of ``head`` and ``mark`` must read >= limit as uint64), else
+    ``IdRangeError`` for the first bad sequence, its ``index`` counted from ``first``."""
+    stream = list(head)
+    for seq in seqs:
+        stream.extend(seq)
+        stream.extend(mark)
+    t = np.array(stream)  # int64 unless some id is a float or outside int64
+    expected = len(head) + len(seqs) * len(mark)
+    if t.dtype != np.int64 or np.count_nonzero(t.view(np.uint64) >= limit) != expected:
+        for i, seq in enumerate(seqs):
+            try:
+                _check_ids(seq, limit, message)
+            except ValueError as exc:
+                raise IdRangeError(str(exc), first + i) from None
+        t = t.astype(np.int64)  # in-range floats truncate toward zero
+    return t
+
+
 def _parse_id(token: str) -> int:
     """One integer field in the canonical grammar ``0|[1-9][0-9]*``."""
     if token.isascii() and token.isdigit() and (token[0] != "0" or token == "0"):

@@ -65,11 +65,8 @@ def syntax_accuracy(model, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no syntax pairs")
-    hits = 0
-    for correct, corrupted in pairs:
-        if model.logprob(correct) > model.logprob(corrupted):
-            hits += 1
-    return hits / len(pairs)
+    scores = model.logprobs([seq for correct, corrupted in pairs for seq in (correct, corrupted)])
+    return sum(c > k for c, k in zip(scores[::2], scores[1::2])) / len(pairs)
 
 
 def shuffle_corrupt(seq: TokenSequence, unit_len: int = 1, *, seed: int) -> TokenSequence:
@@ -158,6 +155,6 @@ def cross_entropy(samples, reference) -> CrossEntropyReport:
     if not samples:
         raise ValueError("no samples")
     total = 0.0
-    for seq in samples:
-        total += reference.logprob(seq)
+    for score in reference.logprobs(samples):
+        total += score
     return CrossEntropyReport(n_samples=len(samples), entropy=-total / len(samples))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bpe import AlphabetError, BpeModel
-from .corpus import TokenSequence
+from .bpe import BpeModel
+from .corpus import IdRangeError, TokenSequence
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ class RescoreResult:
         """Argmax with ties broken toward the lowest index."""
         if not scores:
             raise ValueError("no scores")
-        best = 0
-        for i, s in enumerate(scores):
-            if s > scores[best]:
-                best = i
-        return cls(list(scores), best)
+        return cls(list(scores), max(range(len(scores)), key=scores.__getitem__))
 
 
 def rescore(
@@ -56,7 +52,7 @@ def rescore(
     length_norm: bool = False,
     bpe: BpeModel | None = None,
 ) -> RescoreResult:
-    """Score every candidate with ``model.logprob`` and pick the argmax.
+    """Score every candidate with ``model.logprobs`` and pick the argmax.
 
     When ``bpe`` is given, candidates are raw base-token sequences and are
     encoded together before scoring. ``length_norm`` divides each log score
@@ -64,21 +60,14 @@ def rescore(
     probability.
     """
     seqs = candidates.candidates
-    if bpe is not None:
-        try:
+    try:
+        if bpe is not None:
             seqs = bpe.encode_corpus(seqs).utterances
-        except AlphabetError as exc:
-            raise ValueError(f"candidate {exc.index}: {exc}") from None
-    scores: list[float] = []
-    for i, seq in enumerate(seqs):
-        try:
-            score = model.logprob(seq)
-        except ValueError as exc:
-            raise ValueError(f"candidate {i}: {exc}") from None
-        if length_norm:
-            scores.append(score / len(seq))
-        else:
-            scores.append(score)
+        scores = model.logprobs(seqs)
+    except IdRangeError as exc:
+        raise ValueError(f"candidate {exc.index}: {exc}") from None
+    if length_norm:
+        scores = [score / len(seq) for score, seq in zip(scores, seqs)]
     return RescoreResult.from_scores(scores)
 
 

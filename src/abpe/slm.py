@@ -18,11 +18,11 @@ codes ``parent id * (V+1) + symbol``, the parent being the context minus
 its oldest symbol, so codes stay below (rows + 1) * (V+1); an n-gram's
 code is ``context id * (V+1) + event``, and a context's n-grams form one
 slice. Each n-gram, and each context for its unseen events, holds the
-order's weight times its add-k estimate. ``logprob`` finds the ids of all
-positions with one ``searchsorted`` per order; ``next_dist`` walks the
-same ids for one context and scatters one slice per order.
+order's weight times its add-k estimate. ``logprobs`` finds the ids of all
+positions of many sequences with one ``searchsorted`` per order; ``next_dist``
+walks the same ids for one context and scatters one slice per order.
 
-Anything with ``logprob``/``next_dist``/``generate`` and a ``vocab_size``
+Anything with ``logprobs``/``next_dist``/``generate`` and a ``vocab_size``
 can stand in for this class downstream; nothing else in the package
 depends on the count-based internals.
 
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import chain
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence, _check_ids, _unpack_header
+from .corpus import Corpus, TokenSequence, _check_ids, _id_stream, _unpack_header
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -53,19 +53,32 @@ BOS = -1
 
 _FIXED_HEADER = struct.Struct("<8sIQId")
 _OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
-_CODE_MAX = 2**63 - 1  # int64 max; every table ends in it, as its unseen row
+_CODE_MAX = 2**63 - 1  # int64 max; ``grams`` ends in it, as its unseen row
 
 
 class _Order(NamedTuple):
-    """One order's sorted tables; all but ``events`` and ``starts`` end in the
-    row that an unseen context or n-gram maps to."""
+    """One order's sorted tables. An unseen context's id is the number of seen
+    ones; ``grams`` and ``seen`` end in the row that an unseen n-gram maps to."""
 
-    contexts: np.ndarray  # context codes, parent id * (V+1) + shifted symbol
+    bounds: np.ndarray  # each context code c, then c + 1, which starts a gap (maybe empty)
+    ids: np.ndarray  # searchsorted(bounds, code, "right") -> the id of the code's context
     grams: np.ndarray  # n-gram codes, context id * (V+1) + event
     events: np.ndarray  # the event of each n-gram
     starts: np.ndarray  # context id -> its first n-gram; the unseen id's slice is empty
     seen: np.ndarray  # weight * add-k estimate of each n-gram
     unseen: np.ndarray  # weight * add-k estimate of an unseen event, per context
+
+
+def _windows(seqs: list[TokenSequence], vocab_size: int, order: int) -> np.ndarray:
+    """The int64 windows of each id and end event of ``seqs``, read from one stream with
+    ``order - 1`` begin markers before each sequence: row 0 holds the event and row
+    d < order the symbol d before it, shifted by one (0 for a begin marker)."""
+    pad = [BOS] * (order - 1)
+    shifted = _id_stream(seqs, vocab_size, _OUT_OF_VOCAB, pad, [vocab_size] + pad, 0) + 1
+    at = shifted.nonzero()[0]  # the events: all but the begin markers
+    windows = shifted[at - np.arange(len(pad) + 1)[:, None]]
+    np.subtract(windows[0], 1, out=windows[0])  # in place; ``-=`` would copy the row back
+    return windows
 
 
 class NgramModel:
@@ -133,14 +146,20 @@ class NgramModel:
             owner = grams // v1
             den = np.append(np.bincount(ids, mass, len(contexts)) + smooth_mass, smooth_mass)
             seen = (np.bincount(at, mass, len(grams)) + self.add_k) / den[owner]
+            context_ids = np.full(2 * len(contexts) + 1, len(contexts))
+            context_ids[1::2] = np.arange(len(contexts))
             self._orders.append(_Order(
-                np.append(contexts, _CODE_MAX),
+                np.stack((contexts, contexts + 1), axis=1).ravel(),
+                context_ids,
                 np.append(grams, _CODE_MAX),
                 grams % v1,
                 np.searchsorted(owner, np.arange(len(contexts) + 2)),
                 np.append(self.weights[i] * seen, 0.0),
                 self.weights[i] * (self.add_k / den),
             ))
+        # a conditional sums one term per order, each at least that order's least unseen one
+        if not any(t.unseen.min() > 0 for t in self._orders):
+            raise ValueError("smoothed estimates underflow to 0")
 
     @property
     def eos_id(self) -> int:
@@ -167,45 +186,43 @@ class NgramModel:
         if total > 0:  # otherwise the constructor rejects the weights as given
             weights = tuple(w / total for w in weights)
         vocab = corpus.vocab_size
-        lengths = np.array([len(u) + 1 for u in corpus.utterances])
-        events = np.fromiter(chain.from_iterable(chain(u, (vocab,)) for u in corpus.utterances),
-                             dtype=np.int64, count=lengths.sum())
-        # d symbols before an event: the token there shifted by one, or 0 (begin
-        # marker) before the start of its utterance
-        pos = np.arange(len(events)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        columns = [np.where(pos >= d, np.roll(events, d) + 1, 0) for d in range(order - 1, 0, -1)]
-        windows = np.stack(columns + [events], axis=1).astype(">u8")
+        windows = _windows(corpus.utterances, vocab, order)[::-1].T.astype(">u8", order="C")
         # as big-endian bytes, the windows sort as their (context, event) keys do
-        width = windows.itemsize * windows.shape[1]
-        keys, counts = np.unique(windows.view(f"V{width}"), return_counts=True)
+        keys, counts = np.unique(windows.view(f"V{8 * windows.shape[1]}"), return_counts=True)
         keys = keys.view(">u8").reshape(len(keys), -1)
         return cls(vocab, order, add_k, weights, np.column_stack((keys, counts)))
 
-    def logprob(self, seq: TokenSequence) -> float:
-        """Natural-log probability of ``seq`` including its end event."""
-        _check_ids(seq, self.vocab_size, _OUT_OF_VOCAB)
-        v1, slots = self.vocab_size + 1, len(seq) + 1
-        stream = np.array([BOS] * (self.order - 1) + list(seq) + [self.eos_id], dtype=np.int64)
-        events, syms = stream[self.order - 1 :], stream[:-1] + 1
-        ids = np.zeros(slots, dtype=np.int64)  # per slot, its context's id at this order
-        probs = np.zeros(slots)
+    def logprobs(self, seqs: list[TokenSequence]) -> list[float]:
+        """Natural-log probability of each sequence, its end event included; an id
+        outside the vocabulary raises ``IdRangeError`` naming its sequence."""
+        windows = _windows(seqs, self.vocab_size, self.order)
+        v1 = self.vocab_size + 1
+        ids = scaled = 0  # per event, its context's id at this order, and that times V+1
+        probs = 0.0
         for i, t in enumerate(self._orders):
             if i:
-                codes = ids * v1 + syms[self.order - 1 - i :][:slots]
-                ids = t.contexts.searchsorted(codes)
-                ids[t.contexts[ids] != codes] = len(t.contexts) - 1
-            codes = ids * v1 + events
+                ids = t.ids[t.bounds.searchsorted(scaled + windows[i], "right")]
+                scaled = ids * v1
+            codes = scaled + windows[0]
             at = t.grams.searchsorted(codes)
-            probs += np.where(t.grams[at] == codes, t.seen[at], t.unseen[ids])
-        total = 0.0
-        for p in probs.tolist():  # in order: sum() and np.sum may round differently
-            total += math.log(p)
-        return total
+            probs = probs + np.where(t.grams[at] == codes, t.seen[at], t.unseen[ids])
+        logs = map(math.log, probs.tolist())
+        out = []
+        for seq in seqs:
+            total = 0.0
+            for term in islice(logs, len(seq) + 1):  # in order: sum() may round differently
+                total += term
+            out.append(total)
+        return out
+
+    def logprob(self, seq: TokenSequence) -> float:
+        """Natural-log probability of ``seq`` including its end event."""
+        return self.logprobs([seq])[0]
 
     def next_dist(self, context: TokenSequence) -> np.ndarray:
         """Distribution over vocab + end event given the last order-1 tokens.
 
-        Equal to ``logprob``'s conditionals bit for bit: it walks the same
+        Equal to ``logprobs``'s conditionals bit for bit: it walks the same
         context ids and adds the same weighted estimates in the same order.
         """
         _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
@@ -216,9 +233,7 @@ class NgramModel:
         for i, t in enumerate(self._orders):
             if i:
                 code = c * (self.vocab_size + 1) + padded[-i] + 1
-                c = int(t.contexts.searchsorted(code))
-                if t.contexts[c] != code:
-                    c = len(t.contexts) - 1
+                c = int(t.ids[t.bounds.searchsorted(code, "right")])
             s, e = t.starts[c], t.starts[c + 1]
             part.fill(t.unseen[c])
             part[t.events[s:e]] = t.seen[s:e]

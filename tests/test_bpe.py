@@ -188,7 +188,8 @@ def test_no_merge_crosses_an_utterance_boundary():
 
 
 def test_corpus_longer_than_one_encoding_block_matches_oracle():
-    from abpe.bpe import _BLOCK_TOKENS, AlphabetError
+    from abpe.bpe import _BLOCK_TOKENS
+    from abpe.corpus import IdRangeError
 
     corpus = synth_corpus(SynthSpec(8, 450, (30, 50), 6, (3, 6), 0.6, 1.2, seed=5))
     assert corpus.total_tokens() > _BLOCK_TOKENS
@@ -196,7 +197,7 @@ def test_corpus_longer_than_one_encoding_block_matches_oracle():
     assert model.encode_corpus(corpus).utterances == [
         bpe_encode_stepwise(model.base_size, model.merges, u) for u in corpus.utterances]
     # a bad id in a later block names its utterance's index in the whole corpus
-    with pytest.raises(AlphabetError, match="^id 8 at position 1 is outside") as exc:
+    with pytest.raises(IdRangeError, match="^id 8 at position 1 is outside") as exc:
         model.encode_corpus(corpus.utterances + [[0, 8]])
     assert exc.value.index == len(corpus)
 

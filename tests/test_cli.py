@@ -227,6 +227,15 @@ def test_score_outputs_logprobs(tmp_path, capsys):
     ]
 
 
+def test_slm_train_rejects_add_k_whose_estimates_underflow(tmp_path, capsys):
+    src = tmp_path / "c.tok"
+    save_tokens(Corpus([[0, 1], [1, 1, 0]], 2), str(src))
+    model_path = tmp_path / "m.ngram"
+    assert run_cli("slm-train", "--in", src, "--add-k", "5e-324", "--out", model_path) == 1
+    assert capsys.readouterr().err == "error: smoothed estimates underflow to 0\n"
+    assert not model_path.exists()
+
+
 def test_continue_deterministic_and_prefixed(tmp_path):
     corpus = synth_corpus(SynthSpec(15, 30, (5, 15), 2, (2, 3), 0.5, 1.0, seed=2))
     src = tmp_path / "c.tok"

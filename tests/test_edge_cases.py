@@ -13,14 +13,16 @@ from abpe import (
     FormatError,
     KMeansModel,
     NgramModel,
+    cross_entropy,
     load_tokens,
     rescore,
     save_tokens,
+    syntax_accuracy,
     tokens_to_unicode,
     unicode_to_tokens,
 )
 from abpe.cli import _read_manifest, main
-from abpe.corpus import _read_corpus
+from abpe.corpus import IdRangeError, _read_corpus
 
 from oracles import random_small_corpus
 
@@ -168,12 +170,32 @@ def test_weights_flag_changes_model(tmp_path):
 _BPE = BpeModel(3, [(0, 1)])
 _LM = NgramModel.train(Corpus([[0, 1, 2]], 3), order=2)
 
+
+def _names_sequence(index, call):
+    """``call``, asserting that an id error it raises is an ``IdRangeError`` for ``index``."""
+    def checked(s):
+        try:
+            return call(s)
+        except ValueError as exc:
+            assert isinstance(exc, IdRangeError) and exc.index == index
+            raise
+    return checked
+
+
 # site, its id limit, a call on a sequence, and the message for a bad id at position 1
 _ID_SITES = {
     "Corpus": (3, lambda s: Corpus([[0], s], 3), "utterance 1: id {id} outside [0, 3)"),
     "encode": (3, _BPE.encode, "id {id} at position 1 is outside the base alphabet"),
     "decode": (4, _BPE.decode, "id {id} at position 1 out of range"),
     "logprob": (3, _LM.logprob, "id {id} at position 1 out of vocabulary"),
+    # the bad id in a later sequence of a batch: -1 is reported, never read as a begin marker
+    "logprobs": (3, _names_sequence(2, lambda s: _LM.logprobs([[0], [], s, [1]])),
+                 "id {id} at position 1 out of vocabulary"),
+    "syntax_accuracy": (
+        3, _names_sequence(3, lambda s: syntax_accuracy(_LM, [([0], [1]), ([2], s)])),
+        "id {id} at position 1 out of vocabulary"),
+    "cross_entropy": (3, _names_sequence(1, lambda s: cross_entropy([[2], s], _LM)),
+                      "id {id} at position 1 out of vocabulary"),
     "next_dist": (3, _LM.next_dist, "id {id} at position 1 out of vocabulary"),
     "generate": (3, lambda s: _LM.generate(s, 1, seed=0),
                  "id {id} at position 1 out of vocabulary"),
@@ -192,6 +214,15 @@ def test_every_id_check_site_rejects_out_of_range(site, side):
     limit, call, message = _ID_SITES[site]
     bad = -1 if side == "negative" else limit
     call([0, limit - 1])
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(id=bad)) + "$"):
+        call([0, bad])
+
+
+@pytest.mark.parametrize("site", ["encode", "logprobs"])
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_batch_id_check_rejects_a_float_that_int64_would_take(site, bad):
+    # as int64, -0.5 reads 0 and NaN does not convert: both are out of range
+    limit, call, message = _ID_SITES[site]
     with pytest.raises(ValueError, match="^" + re.escape(message.format(id=bad)) + "$"):
         call([0, bad])
 

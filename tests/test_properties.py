@@ -26,6 +26,7 @@ from oracles import (
     kmeans_plusplus_naive,
     nearest_centroid_bruteforce,
     ngram_cond_prob,
+    ngram_logprob,
 )
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -154,6 +155,26 @@ def test_next_dist_is_the_scoring_path(corpus, order, data):
     for event in range(corpus.vocab_size + 1):
         want = ngram_cond_prob(corpus, order, add_k, model.weights, seq, event)
         assert abs(dist[event] - want) <= 1e-12
+
+
+@PROFILE
+@given(corpora(), st.integers(1, 5), st.data())
+def test_logprobs_is_logprob_per_sequence(corpus, order, data):
+    """One ``logprobs`` call over many sequences gives each ``logprob`` bit for
+    bit, and both match the oracle; sequences may be empty, shorter than the
+    context, tuples or numpy arrays."""
+    add_k = data.draw(st.floats(1e-3, 10.0))
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=order, max_size=order)
+                        .filter(lambda ws: sum(ws) > 0))
+    model = NgramModel.train(corpus, order=order, add_k=add_k, interpolation_weights=weights)
+    seq = st.lists(st.integers(0, corpus.vocab_size - 1), max_size=8)
+    shape = st.sampled_from([list, tuple, lambda s: np.array(s, dtype=np.int64)])
+    seqs = [kind(s) for s, kind in data.draw(st.lists(st.tuples(seq, shape), max_size=6))]
+    scores = model.logprobs(seqs)
+    assert scores == [model.logprob(s) for s in seqs]
+    for s, score in zip(seqs, scores):
+        want = ngram_logprob(corpus, order, add_k, model.weights, s)
+        assert abs(score - want) <= 1e-12
 
 
 @st.composite

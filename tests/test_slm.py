@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abpe import Corpus, FormatError, NgramModel, SynthSpec, synth_corpus
+from abpe import BpeModel, Corpus, FormatError, NgramModel, SynthSpec, synth_corpus
 
 from oracles import (
     greedy_continuation,
@@ -220,6 +220,27 @@ def test_golden_outputs():
         "aa0a222ccd705df8404de50d10213e57e153b982de453788ff386fe96abd1786")
 
 
+def test_golden_model_at_paper_scale():
+    """Order 4 over a base-500 corpus encoded with +1500 merges: the digest pins
+    every (context, event, count) row built from the trainer's windows."""
+    corpus = synth_corpus(SynthSpec(500, 160, (30, 60), 200, (6, 14), 0.6, 1.2, seed=8))
+    encoded = BpeModel.train(corpus, 2000).encode_corpus(corpus)
+    model = NgramModel.train(encoded, order=4)
+    assert hashlib.sha256(model.to_bytes()).hexdigest() == (
+        "5689e0befc4f78395cdefd56b018a4b0969ddaa90c3085280e8c56528fb0b92f")
+
+
+def test_estimates_that_underflow_to_zero_are_rejected():
+    with pytest.raises(ValueError, match="^smoothed estimates underflow to 0$"):
+        NgramModel.train(Corpus([[0, 1, 0]], 2), order=2, add_k=5e-324)
+    # the third order's weight rounds its terms to 0, but the second order's stay
+    # positive, and so does every conditional
+    model = NgramModel.train(Corpus([[0]], 2), order=3, add_k=1.0,
+                             interpolation_weights=[0.0, 1.0, 5e-324])
+    assert model.next_dist([1, 1]).min() > 0
+    assert math.isfinite(model.logprob([1, 1, 0]))
+
+
 class TestGenerate:
     def setup_method(self):
         rng = np.random.default_rng(35)
@@ -340,6 +361,16 @@ class TestModelFile:
         path = tmp_path / "m.ngram"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="add_k|interpolation weights"):
+            NgramModel.load(str(path))
+
+    def test_add_k_whose_estimates_underflow_rejected(self, tmp_path):
+        import struct
+
+        blob = bytearray(NgramModel.train(Corpus([[0, 1, 0]], 2), order=2).to_bytes())
+        struct.pack_into("<d", blob, 24, 5e-324)  # add_k: every unseen estimate rounds to 0
+        path = tmp_path / "m.ngram"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="smoothed estimates underflow to 0$"):
             NgramModel.load(str(path))
 
     def test_custom_weights_roundtrip(self, tmp_path):
