@@ -42,13 +42,12 @@ import heapq
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _check_ids, _id_stream, _parse_id, _parse_ids,
-                     _read_lines)
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _parse_id,
+                     _parse_ids, _read_lines)
 from .errors import FormatError
 
 MERGES_VERSION = 1
 MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
-_BLOCK_TOKENS = 16384  # the encoder's stream holds whole utterances up to this many tokens
 
 Pair = tuple[int, int]
 
@@ -227,17 +226,7 @@ class BpeModel:
         first bad id of the first utterance that holds one.
         """
         utterances = corpus.utterances if isinstance(corpus, Corpus) else corpus
-        out: list[TokenSequence] = []
-        block: list[TokenSequence] = []
-        size = 0
-        for utt in utterances:
-            if block and size + len(utt) > _BLOCK_TOKENS:
-                out += self._encode_block(block, len(out))
-                block, size = [], 0
-            block.append(utt)
-            size += len(utt)
-        out += self._encode_block(block, len(out))
-        return Corpus(out, self.vocab_size)
+        return Corpus(_blockwise(self._encode_block, utterances), self.vocab_size)
 
     def _encode_block(self, utterances: list[TokenSequence], first: int) -> list[TokenSequence]:
         """Encode utterances ``first``, ``first + 1``, ... of a corpus in one stream."""

@@ -212,17 +212,9 @@ def _cmd_score(args) -> None:
 def _cmd_continue(args) -> None:
     model = NgramModel.load(args.model)
     prompt = _parse_ids(args.prompt)
-    sequences = []
-    for i in range(args.num):
-        sequences.append(
-            model.generate(
-                prompt,
-                args.max_new,
-                seed=args.seed + i,
-                temperature=args.temperature,
-                top_k=args.top_k,
-            )
-        )
+    sequences = model.generate_many([prompt] * args.num, args.max_new,
+                                    seeds=range(args.seed, args.seed + args.num),
+                                    temperature=args.temperature, top_k=args.top_k)
     _write(dump_tokens(Corpus(sequences, model.vocab_size)), args.out)
 
 

@@ -36,6 +36,7 @@ FEATURE_MAGIC = b"ABPEFEAT"
 FEATURE_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<8sIQQ")
 _F32_MAX = float(np.finfo(np.float32).max)
+_BLOCK_TOKENS = 16384  # a batched stream holds whole sequences up to this many ids
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,35 @@ def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
     t = np.array(stream)  # int64 unless some id is a float or outside int64
     expected = len(head) + len(seqs) * len(mark)
     if t.dtype != np.int64 or np.count_nonzero(t.view(np.uint64) >= limit) != expected:
-        for i, seq in enumerate(seqs):
-            try:
-                _check_ids(seq, limit, message)
-            except ValueError as exc:
-                raise IdRangeError(str(exc), first + i) from None
+        _check_each(seqs, limit, message, first)
         t = t.astype(np.int64)  # in-range floats truncate toward zero
     return t
+
+
+def _check_each(seqs, limit: int, message: str, first: int = 0) -> None:
+    """``_check_ids`` on every sequence of ``seqs``: ``IdRangeError`` for the first bad
+    sequence, its ``index`` counted from ``first``."""
+    for i, seq in enumerate(seqs):
+        try:
+            _check_ids(seq, limit, message)
+        except ValueError as exc:
+            raise IdRangeError(str(exc), first + i) from None
+
+
+def _blockwise(fn, seqs) -> list:
+    """``fn(block, first)`` on consecutive blocks of whole ``seqs`` of up to ``_BLOCK_TOKENS``
+    ids (one longer sequence is a block of its own), ``first`` being the index of the block's
+    first sequence; ``fn`` returns one item per sequence, and the items are concatenated."""
+    out: list = []
+    block: list = []
+    size = 0
+    for seq in seqs:
+        if block and size + len(seq) > _BLOCK_TOKENS:
+            out += fn(block, len(out))
+            block, size = [], 0
+        block.append(seq)
+        size += len(seq)
+    return out + fn(block, len(out))
 
 
 def _parse_id(token: str) -> int:

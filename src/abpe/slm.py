@@ -19,12 +19,21 @@ its oldest symbol, so codes stay below (rows + 1) * (V+1); an n-gram's
 code is ``context id * (V+1) + event``, and a context's n-grams form one
 slice. Each n-gram, and each context for its unseen events, holds the
 order's weight times its add-k estimate. ``logprobs`` finds the ids of all
-positions of many sequences with one ``searchsorted`` per order; ``next_dist``
-walks the same ids for one context and scatters one slice per order.
+positions of many sequences with one ``searchsorted`` per order, in blocks of
+whole sequences; ``next_dist`` walks the same ids for one context and
+scatters one slice per order onto a copy of the order-1 row.
 
-Anything with ``logprobs``/``next_dist``/``generate`` and a ``vocab_size``
-can stand in for this class downstream; nothing else in the package
-depends on the count-based internals.
+``generate_many`` steps all its unfinished continuations in lockstep, a
+block of at most ``_ROW_BLOCK`` rows at a time: each step walks every row's
+context into its own row of one ``(rows, V+1)`` array as ``next_dist``
+does, runs the sampling arithmetic (log, temperature, top-k, exp,
+normalisation, cumulative sum) once over the whole array, and draws each
+row's event with its own ``np.random.default_rng(seed)``. A row leaves
+the block at its end event, so every row samples as it would alone.
+
+Anything with ``logprobs``/``next_dist``/``generate_many`` and a
+``vocab_size`` can stand in for this class downstream; nothing else in the
+package depends on the count-based internals.
 
 Model file: magic ``ABPENGRM``, u32 LE version (=1), u64 LE vocab_size,
 u32 LE order, f64 LE add_k, order f64 LE interpolation weights, u64 LE
@@ -40,11 +49,12 @@ from __future__ import annotations
 import math
 import struct
 from itertools import islice
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence, _check_ids, _id_stream, _unpack_header
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_each, _check_ids, _id_stream,
+                     _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -54,6 +64,7 @@ BOS = -1
 _FIXED_HEADER = struct.Struct("<8sIQId")
 _OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
 _CODE_MAX = 2**63 - 1  # int64 max; ``grams`` ends in it, as its unseen row
+_ROW_BLOCK = 64  # generate_many steps at most this many continuations at once
 
 
 class _Order(NamedTuple):
@@ -69,16 +80,55 @@ class _Order(NamedTuple):
     unseen: np.ndarray  # weight * add-k estimate of an unseen event, per context
 
 
-def _windows(seqs: list[TokenSequence], vocab_size: int, order: int) -> np.ndarray:
+def _windows(seqs: list[TokenSequence], vocab_size: int, order: int,
+             first: int = 0) -> np.ndarray:
     """The int64 windows of each id and end event of ``seqs``, read from one stream with
     ``order - 1`` begin markers before each sequence: row 0 holds the event and row
-    d < order the symbol d before it, shifted by one (0 for a begin marker)."""
+    d < order the symbol d before it, shifted by one (0 for a begin marker). A bad id
+    raises ``IdRangeError`` with its sequence's index counted from ``first``."""
     pad = [BOS] * (order - 1)
-    shifted = _id_stream(seqs, vocab_size, _OUT_OF_VOCAB, pad, [vocab_size] + pad, 0) + 1
+    shifted = _id_stream(seqs, vocab_size, _OUT_OF_VOCAB, pad, [vocab_size] + pad, first) + 1
     at = shifted.nonzero()[0]  # the events: all but the begin markers
     windows = shifted[at - np.arange(len(pad) + 1)[:, None]]
     np.subtract(windows[0], 1, out=windows[0])  # in place; ``-=`` would copy the row back
     return windows
+
+
+def _draw(probs: np.ndarray, rngs: list[np.random.Generator], temperature: float,
+          top_k: int | None) -> list[int]:
+    """One event per row of ``probs`` (overwritten), drawn with that row's rng."""
+    if temperature == 0.0:
+        return probs.argmax(axis=1).tolist()
+    log_probs = np.log(probs, out=probs)
+    logits = log_probs / temperature
+    top = logits.max(axis=1)
+    dead = np.isinf(top)
+    if dead.any():
+        # a row's logits overflowed, all to -inf or some to +inf (a model file's weights may
+        # sum above one): as at a tiny finite temperature, draw evenly among its likeliest events
+        worst = log_probs[dead]
+        logits[dead] = np.where(worst == worst.max(axis=1, keepdims=True), 0.0, -np.inf)
+        top[dead] = 0.0
+    n = logits.shape[1]
+    if top_k is not None and top_k < n:
+        # the first top_k of a stable descending sort: all above the k-th largest
+        # logit, then the lowest-id events equal to it
+        kth = np.partition(logits, n - top_k, axis=1)[:, n - top_k, None]
+        above = logits > kth
+        tied = logits == kth
+        room = top_k - np.count_nonzero(above, axis=1)[:, None]
+        logits = np.where(above | (tied & (np.cumsum(tied, axis=1) <= room)), logits, -np.inf)
+    logits -= top[:, None]  # top-k keeps each row's maximum
+    weights = np.exp(logits, out=logits)
+    cum = np.divide(weights, weights.sum(axis=1, keepdims=True), out=probs)
+    np.cumsum(cum, axis=1, out=cum)
+    events = []
+    for w, c, rng in zip(weights, cum, rngs):
+        r = rng.random()
+        # only r >= c[-1] can pass the last positive weight: c is flat after it
+        events.append(int(np.flatnonzero(w > 0)[-1]) if r >= c[-1]
+                      else int(c.searchsorted(r, "right")))
+    return events
 
 
 class NgramModel:
@@ -194,8 +244,12 @@ class NgramModel:
 
     def logprobs(self, seqs: list[TokenSequence]) -> list[float]:
         """Natural-log probability of each sequence, its end event included; an id
-        outside the vocabulary raises ``IdRangeError`` naming its sequence."""
-        windows = _windows(seqs, self.vocab_size, self.order)
+        outside the vocabulary raises ``IdRangeError`` naming its sequence. Sequences
+        are scored in blocks of whole sequences, so memory does not grow with ``seqs``."""
+        return _blockwise(self._block_logprobs, seqs)
+
+    def _block_logprobs(self, seqs: list[TokenSequence], first: int) -> list[float]:
+        windows = _windows(seqs, self.vocab_size, self.order, first)
         v1 = self.vocab_size + 1
         ids = scaled = 0  # per event, its context's id at this order, and that times V+1
         probs = 0.0
@@ -226,19 +280,31 @@ class NgramModel:
         context ids and adds the same weighted estimates in the same order.
         """
         _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
-        padded = [BOS] * (self.order - 1) + list(context)
+        probs = self._order1_row()
+        self._add_context(probs, context, np.empty_like(probs))
+        return probs
+
+    def _order1_row(self) -> np.ndarray:
+        """The order-1 terms, the same for every context. Built per call, never kept:
+        a loaded header may declare a vocabulary too large to allocate."""
+        t = self._orders[0]
+        s, e = t.starts[0], t.starts[1]
+        row = np.full(self.vocab_size + 1, t.unseen[0])
+        row[t.events[s:e]] = t.seen[s:e]
+        return row
+
+    def _add_context(self, row: np.ndarray, context: TokenSequence, part: np.ndarray) -> None:
+        """Add the terms of orders 2..n after ``context`` to ``row``, which holds the
+        order-1 terms; ``part`` is scratch of the same size."""
+        v1 = self.vocab_size + 1
         c = 0
-        probs = np.zeros(self.vocab_size + 1, dtype=np.float64)
-        part = np.empty_like(probs)
-        for i, t in enumerate(self._orders):
-            if i:
-                code = c * (self.vocab_size + 1) + padded[-i] + 1
-                c = int(t.ids[t.bounds.searchsorted(code, "right")])
+        for i, t in enumerate(self._orders[1:], 1):
+            code = c * v1 + (context[-i] + 1 if i <= len(context) else 0)
+            c = int(t.ids[t.bounds.searchsorted(code, "right")])
             s, e = t.starts[c], t.starts[c + 1]
             part.fill(t.unseen[c])
             part[t.events[s:e]] = t.seen[s:e]
-            probs += part
-        return probs
+            row += part
 
     def generate(
         self,
@@ -249,56 +315,66 @@ class NgramModel:
         temperature: float = 1.0,
         top_k: int | None = None,
     ) -> TokenSequence:
-        """Extend ``prompt`` by sampling until the end event or ``max_new``.
+        """``generate_many([prompt], max_new, seeds=[seed], ...)[0]``."""
+        return self.generate_many([prompt], max_new, seeds=[seed], temperature=temperature,
+                                  top_k=top_k)[0]
+
+    def generate_many(
+        self,
+        prompts: Sequence[TokenSequence],
+        max_new: int,
+        *,
+        seeds: Sequence[int],
+        temperature: float = 1.0,
+        top_k: int | None = None,
+    ) -> list[TokenSequence]:
+        """Extend each prompt by sampling until the end event or ``max_new``, the
+        continuation of ``prompts[i]`` drawing from ``np.random.default_rng(seeds[i])``.
 
         ``temperature`` scales log-probabilities before renormalization;
         0 selects greedy decoding (iterated argmax, lowest id on ties).
         ``top_k`` keeps the k most probable events before renormalizing.
+        An id outside the vocabulary raises ``IdRangeError`` naming its prompt.
         """
-        _check_ids(prompt, self.vocab_size, _OUT_OF_VOCAB)
+        if len(seeds) != len(prompts):
+            raise ValueError(f"got {len(seeds)} seeds for {len(prompts)} prompts")
+        _check_each(prompts, self.vocab_size, _OUT_OF_VOCAB)
         if max_new < 0:
             raise ValueError("max_new must be >= 0")
         if not temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if top_k is not None and top_k < 1:
             raise ValueError("top_k must be >= 1")
-        out = list(prompt)
-        rng = np.random.default_rng(seed)
-        window = self.order - 1  # next_dist reads only this many tokens
-        for _ in range(max_new):
-            probs = self.next_dist(out[-window:] if window else [])
-            event = self._sample_event(probs, rng, temperature, top_k)
-            if event == self.eos_id:
-                break
-            out.append(event)
-        return out
+        outs = [list(p) for p in prompts]
+        order1 = self._order1_row()
+        with np.errstate(over="ignore"):  # a tiny temperature overflows logits to +-inf
+            for start in range(0, len(outs), _ROW_BLOCK):
+                rngs = map(np.random.default_rng, seeds[start : start + _ROW_BLOCK])
+                rows = list(zip(outs[start : start + _ROW_BLOCK], rngs))
+                self._extend(rows, order1, max_new, temperature, top_k)
+        return outs
 
-    @staticmethod
-    def _sample_event(
-        probs: np.ndarray,
-        rng: np.random.Generator,
-        temperature: float,
-        top_k: int | None,
-    ) -> int:
-        if temperature == 0.0:
-            return int(np.argmax(probs))
-        log_probs = np.log(probs)
-        with np.errstate(over="ignore"):
-            logits = log_probs / temperature
-        if logits.max() == -np.inf:
-            # every logit overflowed: as at a tiny finite temperature, draw evenly among the likeliest
-            logits = np.where(log_probs == log_probs.max(), 0.0, -np.inf)
-        if top_k is not None and top_k < logits.size:
-            keep = np.argsort(-logits, kind="stable")[:top_k]
-            mask = np.full(logits.size, -np.inf)
-            mask[keep] = logits[keep]
-            logits = mask
-        logits -= logits.max()
-        weights = np.exp(logits)
-        cum = np.cumsum(weights / weights.sum())
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        live = np.flatnonzero(weights > 0)
-        return int(min(idx, live[-1]))
+    def _extend(self, rows: list[tuple[TokenSequence, np.random.Generator]],
+                order1: np.ndarray, max_new: int, temperature: float,
+                top_k: int | None) -> None:
+        """Extend each sequence of ``rows`` in place with its rng, one step for all
+        unfinished ones at a time."""
+        block = np.empty((len(rows), self.vocab_size + 1))
+        part = np.empty(self.vocab_size + 1)
+        for _ in range(max_new):
+            if not rows:
+                break
+            probs = block[: len(rows)]
+            for row, (out, _) in zip(probs, rows):
+                row[...] = order1
+                self._add_context(row, out, part)
+            events = _draw(probs, [rng for _, rng in rows], temperature, top_k)
+            live = []
+            for (out, rng), event in zip(rows, events):
+                if event != self.eos_id:
+                    out.append(event)
+                    live.append((out, rng))
+            rows = live
 
     def to_bytes(self) -> bytes:
         return b"".join((

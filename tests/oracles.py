@@ -218,6 +218,43 @@ def greedy_continuation(model, prompt, max_new):
     return out
 
 
+def sample_event(probs, rng, temperature, top_k):
+    """One draw from a 1-D ``next_dist`` row, as the per-sequence sampler did:
+    greedy at temperature 0; else scale log-probabilities, keep the ``top_k``
+    likeliest (stable sort), renormalize and invert the cumulative sum."""
+    if temperature == 0.0:
+        return int(np.argmax(probs))
+    log_probs = np.log(probs)
+    with np.errstate(over="ignore"):
+        logits = log_probs / temperature
+    if logits.max() == -np.inf:
+        # every logit overflowed: as at a tiny finite temperature, draw evenly among the likeliest
+        logits = np.where(log_probs == log_probs.max(), 0.0, -np.inf)
+    if top_k is not None and top_k < logits.size:
+        keep = np.argsort(-logits, kind="stable")[:top_k]
+        mask = np.full(logits.size, -np.inf)
+        mask[keep] = logits[keep]
+        logits = mask
+    logits -= logits.max()
+    weights = np.exp(logits)
+    cum = np.cumsum(weights / weights.sum())
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    live = np.flatnonzero(weights > 0)
+    return int(min(idx, live[-1]))
+
+
+def sampled_continuation(model, prompt, max_new, seed, temperature=1.0, top_k=None):
+    """``prompt`` extended one ``next_dist`` and one ``sample_event`` at a time."""
+    out = list(prompt)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_new):
+        event = sample_event(model.next_dist(out), rng, temperature, top_k)
+        if event == model.vocab_size:
+            break
+        out.append(event)
+    return out
+
+
 # ---------------------------------------------------------------- BLEU ----
 
 def self_bleu_quadratic(texts, n):

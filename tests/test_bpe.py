@@ -188,7 +188,7 @@ def test_no_merge_crosses_an_utterance_boundary():
 
 
 def test_corpus_longer_than_one_encoding_block_matches_oracle():
-    from abpe.bpe import _BLOCK_TOKENS
+    from abpe.corpus import _BLOCK_TOKENS
     from abpe.corpus import IdRangeError
 
     corpus = synth_corpus(SynthSpec(8, 450, (30, 50), 6, (3, 6), 0.6, 1.2, seed=5))

@@ -256,6 +256,30 @@ def test_continue_deterministic_and_prefixed(tmp_path):
     assert all(u[:2] == [3, 1] for u in gen.utterances)
 
 
+@pytest.mark.parametrize("extra", [
+    ["--temperature", "0"],
+    ["--temperature", "1"],
+    ["--temperature", "1e-300"],
+    ["--top-k", "2"],
+])
+def test_continue_num_equals_one_run_per_seed(tmp_path, extra):
+    corpus = synth_corpus(SynthSpec(15, 30, (5, 15), 2, (2, 3), 0.5, 1.0, seed=2))
+    src, model_path = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(corpus, str(src))
+    assert run_cli("slm-train", "--in", src, "--order", 3, "--out", model_path) == 0
+    args = ["continue", "--model", model_path, "--prompt", "3 1", "--max-new", 20, *extra]
+    assert run_cli(*args, "--seed", 3, "--num", 6, "--out", tmp_path / "all.tok") == 0
+    header, lines = set(), []
+    for seed in range(3, 9):
+        one = tmp_path / f"seed{seed}.tok"
+        assert run_cli(*args, "--seed", seed, "--num", 1, "--out", one) == 0
+        head, line = one.read_bytes().split(b"\n", 1)
+        header.add(head)
+        lines.append(line)
+    assert len(header) == 1
+    assert (tmp_path / "all.tok").read_bytes() == header.pop() + b"\n" + b"".join(lines)
+
+
 def test_rescore_manifest(tmp_path, capsys):
     corpus = Corpus([[0, 1, 0, 1], [0, 1]], 2)
     src = tmp_path / "c.tok"

@@ -199,6 +199,9 @@ _ID_SITES = {
     "next_dist": (3, _LM.next_dist, "id {id} at position 1 out of vocabulary"),
     "generate": (3, lambda s: _LM.generate(s, 1, seed=0),
                  "id {id} at position 1 out of vocabulary"),
+    "generate_many": (3, _names_sequence(1, lambda s: _LM.generate_many([[0], s], 1,
+                                                                        seeds=[0, 1])),
+                      "id {id} at position 1 out of vocabulary"),
     "tokens_to_unicode": (REGION_SIZE, tokens_to_unicode,
                           "id {id} at position 1 exceeds codec capacity 20992"),
     "rescore": (3, lambda s: rescore(_LM, CandidateSet([[0], s])),

@@ -9,13 +9,14 @@ database), so every run of the same tree checks the same examples.
 
 import math
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abpe import BpeModel, Corpus, NgramModel
+from abpe import BpeModel, Corpus, NgramModel, slm
 from abpe.bpe import _count_pairs
 from abpe.kmeans import _nearest, _plusplus_init
 
@@ -27,6 +28,7 @@ from oracles import (
     nearest_centroid_bruteforce,
     ngram_cond_prob,
     ngram_logprob,
+    sampled_continuation,
 )
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -221,6 +223,41 @@ def test_nearest_matches_oracle_with_float32_centroids(case):
     """Centroids at float32 precision, as ``KMeansModel.load`` gives them;
     with dim < 8 numpy sums in the oracle's order, so the distances agree."""
     check_nearest(*case)
+
+
+@st.composite
+def generation_cases(draw):
+    """A model of order 1-5 over 2-4 symbols, 1-9 rows of (prompt, seed) with
+    empty prompts among them, and settings that take every branch of the sampler."""
+    corpus = draw(corpora())
+    order = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=order, max_size=order)
+                   .filter(sum))
+    model = NgramModel.train(corpus, order=order, add_k=draw(st.sampled_from([0.01, 0.5])),
+                             interpolation_weights=weights)
+    rows = draw(st.integers(1, 9))
+    prompts = draw(st.lists(st.lists(st.integers(0, corpus.vocab_size - 1), max_size=6),
+                            min_size=rows, max_size=rows))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+    settings = dict(
+        temperature=draw(st.sampled_from([0.0, 5e-324, 0.3, 1.0, 4.0])),
+        top_k=draw(st.one_of(st.none(), st.sampled_from([1, 3]),
+                             st.integers(corpus.vocab_size + 1, corpus.vocab_size + 3))))
+    return model, prompts, seeds, draw(st.integers(0, 12)), settings
+
+
+@PROFILE
+@given(generation_cases(), st.integers(1, 4))
+def test_generate_many_matches_oracle_row_for_row(case, block):
+    """Lockstep sampling over blocks of ``block`` rows draws what each row draws
+    alone from ``next_dist`` with the reference sampler."""
+    model, prompts, seeds, max_new, settings = case
+    want = [sampled_continuation(model, p, max_new, s, **settings)
+            for p, s in zip(prompts, seeds)]
+    with mock.patch.object(slm, "_ROW_BLOCK", block):
+        assert model.generate_many(prompts, max_new, seeds=seeds, **settings) == want
+    assert [model.generate(p, max_new, seed=s, **settings)
+            for p, s in zip(prompts, seeds)] == want
 
 
 @st.composite

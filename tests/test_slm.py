@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from oracles import (
     ngram_cond_prob,
     ngram_logprob,
     random_small_corpus,
+    sample_event,
+    sampled_continuation,
 )
 
 
@@ -176,6 +179,75 @@ def test_generate_matches_greedy_oracle_at_every_order(order):
         assert got == greedy_continuation(model, prompt, 12)
 
 
+def test_logprobs_in_blocks_equal_one_block(monkeypatch):
+    from abpe import corpus as corpus_module
+    from abpe.corpus import IdRangeError
+
+    rng = np.random.default_rng(39)
+    corpus = random_small_corpus(rng, max_vocab=5, max_utts=30, max_len=12)
+    seqs = [[int(t) for t in rng.integers(0, corpus.vocab_size, size=rng.integers(0, 12))]
+            for _ in range(40)]
+    model = NgramModel.train(corpus, order=3, add_k=0.1)
+    whole = model.logprobs(seqs)
+    monkeypatch.setattr(corpus_module, "_BLOCK_TOKENS", 7)
+    assert model.logprobs(seqs) == whole
+    # a bad id in a later block, not the last, names its sequence's index in the whole input
+    bad = corpus.vocab_size
+    with pytest.raises(IdRangeError, match=f"^id {bad} at position 1 out of vocabulary$") as exc:
+        model.logprobs(seqs[:20] + [[0, bad]] + seqs[20:])
+    assert exc.value.index == 20
+
+
+def test_tiny_temperature_on_a_model_whose_probabilities_exceed_one():
+    # weights of a model file need not sum to one: here event 0 has probability 4.99,
+    # whose log-probability divided by 1e-320 overflows to +inf
+    model = NgramModel(2, 1, 0.1, (5.0,), np.array([[0, 100]], dtype=np.uint64))
+    assert model.next_dist([])[0] > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.generate_many([[], [1]], 5, seeds=[0, 1], temperature=1e-320)
+    assert got == model.generate_many([[], [1]], 5, seeds=[0, 1], temperature=0.0)
+
+
+def test_generate_many_over_more_than_one_row_block():
+    from abpe.slm import _ROW_BLOCK
+
+    rng = np.random.default_rng(40)
+    corpus = random_small_corpus(rng, max_vocab=6, max_utts=10, max_len=12)
+    model = NgramModel.train(corpus, order=3, add_k=0.1)
+    rows = _ROW_BLOCK + 6
+    prompts = [[int(t) for t in rng.integers(0, corpus.vocab_size, size=i % 4)]
+               for i in range(rows)]
+    got = model.generate_many(prompts, 15, seeds=range(100, 100 + rows), temperature=0.7)
+    assert got == [sampled_continuation(model, p, 15, 100 + i, 0.7)
+                   for i, p in enumerate(prompts)]
+    # the rows end at different steps
+    assert len({len(g) - len(p) for g, p in zip(got, prompts)}) > 3
+
+
+def test_generate_many_needs_one_seed_per_prompt():
+    model = NgramModel.train(Corpus([[0, 1]], 2), order=2, add_k=0.1)
+    with pytest.raises(ValueError, match="^got 1 seeds for 2 prompts$"):
+        model.generate_many([[0], [1]], 3, seeds=[0])
+    assert model.generate_many([], 3, seeds=[]) == []
+
+
+@pytest.mark.parametrize("top_k", [None, 5])
+def test_largest_draw_past_the_cumulative_sum_takes_the_last_kept_event(top_k):
+    from abpe.slm import _draw
+
+    class Largest:  # the largest value default_rng's random() returns
+        def random(self):
+            return 1 - 2**-53
+
+    rows = np.random.default_rng(41).random((50, 12))
+    rows /= rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+    assert (cum[:, -1] < 1 - 2**-53).any()  # rows whose draw passes their sum
+    want = [sample_event(row, Largest(), 1.0, top_k) for row in rows]
+    assert _draw(rows.copy(), [Largest()] * len(rows), 1.0, top_k) == want
+
+
 def test_mutating_next_dist_result_leaves_the_model_unchanged():
     model = NgramModel.train(Corpus([[0, 1, 2], [1, 2, 0], [2, 2]], 3), order=3, add_k=0.1)
     for ctx in ([], [1], [1, 2], [0, 0]):
@@ -209,6 +281,10 @@ def test_golden_outputs():
     dists = b"".join(model.next_dist(ctx).tobytes() for ctx in contexts)
     samples = [model.generate([8, 19], 40, seed=s) for s in range(5)]
     samples += [model.generate([8, 19], 40, seed=s, top_k=5) for s in range(5)]
+    # top_k is one per call, so the lockstep path takes the ten samples in two calls
+    lockstep = model.generate_many([[8, 19]] * 5, 40, seeds=range(5))
+    lockstep += model.generate_many([[8, 19]] * 5, 40, seeds=range(5), top_k=5)
+    assert lockstep == samples
 
     def sha(blob):
         return hashlib.sha256(blob).hexdigest()
