@@ -43,7 +43,7 @@ import heapq
 import numpy as np
 
 from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _parse_id,
-                     _parse_ids, _read_lines)
+                     _parse_ids, _read_lines, _save)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -96,9 +96,8 @@ class BpeModel:
         _check_base_size(base_size)
         ranks: dict[Pair, int] = {}
         for i, (a, b) in enumerate(merges):
-            limit = base_size + i
-            if not (0 <= a < limit and 0 <= b < limit):
-                raise ValueError(f"merge {i}: operand out of range for unit {limit}")
+            _check_ids([(a, b)], base_size + i,
+                       "merge {index}: operand out of range for unit {limit}", i)
             if ranks.setdefault((a, b), i) != i:
                 raise ValueError(f"merge {i}: duplicate pair ({a}, {b})")
         self.base_size = base_size
@@ -202,7 +201,7 @@ class BpeModel:
 
     def decode(self, seq: TokenSequence) -> TokenSequence:
         """Expand merged units back to base tokens."""
-        _check_ids(seq, self.vocab_size, "id {id} at position {pos} out of range")
+        _check_ids([seq], self.vocab_size, "id {id} at position {pos} out of range")
         out: list[int] = []
         for t in seq:
             if t < self.base_size:
@@ -273,12 +272,11 @@ class BpeModel:
 
     def dumps(self) -> str:
         lines = [f"#abpe {MERGES_VERSION}", f"#base {self.base_size}"]
-        lines.extend(f"{a} {b}" for a, b in self.merges)
+        lines.extend("%d %d" % pair for pair in self.merges)  # a bool operand writes as 0 or 1
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.dumps())
+        _save(self.dumps(), path)
 
     @classmethod
     def load(cls, path: str) -> "BpeModel":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from dataclasses import asdict
 
@@ -23,10 +22,12 @@ from .corpus import (
     FEATURE_VERSION,
     Corpus,
     SynthSpec,
+    _parse_float,
     _parse_id,
     _parse_ids,
     _read_corpus,
     _read_lines,
+    _save,
     dump_tokens,
     load_features,
     load_tokens,
@@ -51,43 +52,22 @@ _VERSION_TEXT = (
 
 
 def _write(data: str | bytes, out: str | None) -> None:
-    """Send an artifact to the ``out`` path, or to stdout when it is None.
-
-    A file is written whole or not at all: the bytes go to a temporary file
-    beside it, which then takes an existing file's permission bits and
-    replaces it. Devices and pipes are written directly. Stdout is flushed, so
-    a reader that went away fails the command here and not at exit.
-    """
-    if out is None:
-        try:
-            if isinstance(data, bytes):
-                sys.stdout.buffer.write(data)
-            else:
-                sys.stdout.write(data)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # what is still buffered goes nowhere, so the exit-time flush cannot fail
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise
+    """Send an artifact to the ``out`` path through ``_save``, or to stdout when it is None;
+    stdout is flushed, so a reader that went away fails the command here and not at exit."""
+    if out is not None:
+        _save(data, out)
         return
-    blob = data if isinstance(data, bytes) else data.encode("utf-8")
-    if os.path.exists(out) and not os.path.isfile(out):
-        with open(out, "wb") as fh:
-            fh.write(blob)
-        return
-    target = os.path.realpath(out)  # through a symlink, as opening it would
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(blob)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
+        if isinstance(data, bytes):
+            sys.stdout.buffer.write(data)
+        else:
+            sys.stdout.write(data)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the exit-time flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         raise
 
 
@@ -195,7 +175,7 @@ def _cmd_slm_train(args) -> None:
     corpus = load_tokens(args.infile)
     weights = None
     if args.weights is not None:
-        weights = [float(w) for w in args.weights.split(",")]
+        weights = [_parse_float(w) for w in args.weights.split(",")]
     model = NgramModel.train(
         corpus, order=args.order, add_k=args.add_k, interpolation_weights=weights
     )

@@ -13,11 +13,12 @@ from .corpus import _check_ids
 REGION_BASE = 0x4E00
 REGION_LAST = 0x9FFF
 REGION_SIZE = REGION_LAST - REGION_BASE + 1  # 20992
+_CHARS = "".join(map(chr, range(REGION_BASE, REGION_LAST + 1)))  # indexed by any integer type
 
 
 def tokens_to_unicode(seq: list[int]) -> str:
-    _check_ids(seq, REGION_SIZE, "id {id} at position {pos} exceeds codec capacity {limit}")
-    return "".join([chr(REGION_BASE + t) for t in seq])
+    _check_ids([seq], REGION_SIZE, "id {id} at position {pos} exceeds codec capacity {limit}")
+    return "".join([_CHARS[t] for t in seq])
 
 
 def unicode_to_tokens(text: str) -> list[int]:

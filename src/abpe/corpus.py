@@ -11,16 +11,22 @@ On-disk formats handled here:
   Every matrix, read or written in either form, must be finite and fit
   float32.
 * Feature CSV: comma-separated decimals, one row per line, constant
-  column count. ``load_features`` sniffs the magic bytes to pick the
-  parser.
+  column count, each value a decimal ``float`` reads, in ASCII and without
+  ``_``. ``load_features`` sniffs the magic bytes to pick the parser.
 
-Everything in this module is pure: loaders depend only on file bytes and
-``synth_corpus`` only on its spec, so repeated calls give identical
-results.
+Two rules of the package live here. An id is an ``int`` or a numpy integer
+in ``[0, limit)``: ``_check_ids`` checks it and raises ``IdRangeError``, and
+``_id_stream`` is its vectorised fast path. ``_save`` writes every artifact
+file, whole or not at all.
+
+Loaders depend only on file bytes and ``synth_corpus`` only on its spec,
+so repeated calls give identical results.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 import struct
 from dataclasses import dataclass
 
@@ -49,29 +55,14 @@ class Corpus:
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        for i, utt in enumerate(self.utterances):
-            try:
-                _check_ids(utt, self.vocab_size, "id {id} outside [0, {limit})")
-            except ValueError as exc:
-                raise ValueError(f"utterance {i}: {exc}") from None
+        _check_ids(self.utterances, self.vocab_size,
+                   "utterance {index}: id {id} outside [0, {limit})")
 
     def __len__(self) -> int:
         return len(self.utterances)
 
     def total_tokens(self) -> int:
         return sum(len(u) for u in self.utterances)
-
-
-def _check_ids(seq, limit: int, message: str) -> None:
-    """Raise ``ValueError`` unless every id in ``seq`` lies in ``[0, limit)``.
-
-    ``message`` is formatted with the first bad ``id``, its position ``pos``
-    and ``limit``. This is the one range check on token-id sequences.
-    """
-    for t in seq:  # a bare loop: faster here than min()/max() or enumerate()
-        if not 0 <= t < limit:
-            pos = list(seq).index(t)  # the first bad id is its first occurrence
-            raise ValueError(message.format(id=t, pos=pos, limit=limit))
 
 
 class IdRangeError(ValueError):
@@ -82,11 +73,24 @@ class IdRangeError(ValueError):
         self.index = index
 
 
+def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
+    """The one id check: ``IdRangeError`` unless every id of ``seqs`` is an ``int`` or a numpy
+    integer in ``[0, limit)``. ``message`` is formatted with the first bad ``id``, its position
+    ``pos``, ``limit`` and its sequence's ``index`` counted from ``first``, as the error's is."""
+    for i, seq in enumerate(seqs):
+        rest = iter(seq)
+        for t in rest:  # a bare loop, exact type first: faster than enumerate() or isinstance()
+            if type(t) is not int and not isinstance(t, (int, np.integer)) or not 0 <= t < limit:
+                pos = len(seq) - len(list(rest)) - 1
+                raise IdRangeError(message.format(id=t, pos=pos, limit=limit, index=first + i),
+                                   first + i)
+
+
 def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
                first: int) -> np.ndarray:
-    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` once every id of ``seqs``
-    is in ``[0, limit)`` (those of ``head`` and ``mark`` must read >= limit as uint64), else
-    ``IdRangeError`` for the first bad sequence, its ``index`` counted from ``first``."""
+    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` once ``seqs`` passes
+    ``_check_ids`` (ids of ``head`` and ``mark`` must read >= limit as uint64), else its
+    ``IdRangeError``, the ``index`` counted from ``first``."""
     stream = list(head)
     for seq in seqs:
         stream.extend(seq)
@@ -94,19 +98,9 @@ def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
     t = np.array(stream)  # int64 unless some id is a float or outside int64
     expected = len(head) + len(seqs) * len(mark)
     if t.dtype != np.int64 or np.count_nonzero(t.view(np.uint64) >= limit) != expected:
-        _check_each(seqs, limit, message, first)
-        t = t.astype(np.int64)  # in-range floats truncate toward zero
+        _check_ids(seqs, limit, message, first)
+        t = t.astype(np.int64)  # valid ids of another dtype, such as np.uint64
     return t
-
-
-def _check_each(seqs, limit: int, message: str, first: int = 0) -> None:
-    """``_check_ids`` on every sequence of ``seqs``: ``IdRangeError`` for the first bad
-    sequence, its ``index`` counted from ``first``."""
-    for i, seq in enumerate(seqs):
-        try:
-            _check_ids(seq, limit, message)
-        except ValueError as exc:
-            raise IdRangeError(str(exc), first + i) from None
 
 
 def _blockwise(fn, seqs) -> list:
@@ -130,6 +124,13 @@ def _parse_id(token: str) -> int:
     if token.isascii() and token.isdigit() and (token[0] != "0" or token == "0"):
         return int(token)
     raise FormatError(f"malformed integer {token!r}")
+
+
+def _parse_float(token: str) -> float:
+    """One decimal field: what ``float`` reads, in ASCII and without ``_``."""
+    if not token.isascii() or "_" in token:
+        raise FormatError(f"malformed number {token!r}")
+    return float(token)
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -202,15 +203,36 @@ def dump_tokens(corpus: Corpus) -> str:
     for i, utt in enumerate(corpus.utterances):
         if not utt:
             raise ValueError(f"utterance {i} is empty; empty sequences are unserializable")
-        pieces.append(" ".join(map(str, utt)))
+        pieces.append(("%d " * len(utt))[:-1] % tuple(utt))  # a bool id writes as 0 or 1
         pieces.append("\n")
     return "".join(pieces)
 
 
+def _save(data: str | bytes, path: str) -> None:
+    """Write an artifact, text as UTF-8, whole or not at all: a temporary file beside ``path``
+    takes an existing file's permission bits and replaces it. Devices and pipes are written
+    directly."""
+    blob = data if isinstance(data, bytes) else data.encode("utf-8")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return
+    target = os.path.realpath(path)  # through a symlink, as opening it would
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(blob)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_tokens(corpus: Corpus, path: str) -> None:
-    text = dump_tokens(corpus)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _save(dump_tokens(corpus), path)
 
 
 def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
@@ -269,7 +291,7 @@ def _parse_feature_csv(text: str, path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            rows.append([float(cell) for cell in line.split(",")])
+            rows.append([_parse_float(cell) for cell in line.split(",")])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed number") from None
         if len(rows[-1]) != len(rows[0]):
@@ -294,9 +316,8 @@ def load_features(path: str) -> FeatureMatrix:
 
 def save_features(values: FeatureMatrix, path: str) -> None:
     """Write a feature matrix in the binary format (float32 payload)."""
-    blob = _pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, np.asarray(values, dtype=np.float64), path)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _save(_pack_matrix(FEATURE_MAGIC, FEATURE_VERSION, np.asarray(values, dtype=np.float64), path),
+          path)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _check_matrix, _pack_matrix, _unpack_matrix
+from .corpus import _check_matrix, _pack_matrix, _save, _unpack_matrix
 
 KMEANS_MAGIC = b"ABPEKMNS"
 KMEANS_VERSION = 1
@@ -228,8 +228,7 @@ class KMeansModel:
         return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids, "centroids")
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        _save(self.to_bytes(), path)
 
     @classmethod
     def load(cls, path: str) -> "KMeansModel":

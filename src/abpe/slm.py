@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_each, _check_ids, _id_stream,
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _save,
                      _unpack_header)
 from .errors import FormatError
 
@@ -279,7 +279,7 @@ class NgramModel:
         Equal to ``logprobs``'s conditionals bit for bit: it walks the same
         context ids and adds the same weighted estimates in the same order.
         """
-        _check_ids(context, self.vocab_size, _OUT_OF_VOCAB)
+        _check_ids([context], self.vocab_size, _OUT_OF_VOCAB)
         probs = self._order1_row()
         self._add_context(probs, context, np.empty_like(probs))
         return probs
@@ -299,7 +299,7 @@ class NgramModel:
         v1 = self.vocab_size + 1
         c = 0
         for i, t in enumerate(self._orders[1:], 1):
-            code = c * v1 + (context[-i] + 1 if i <= len(context) else 0)
+            code = c * v1 + (int(context[-i]) + 1 if i <= len(context) else 0)  # np.int8 may wrap
             c = int(t.ids[t.bounds.searchsorted(code, "right")])
             s, e = t.starts[c], t.starts[c + 1]
             part.fill(t.unseen[c])
@@ -338,7 +338,7 @@ class NgramModel:
         """
         if len(seeds) != len(prompts):
             raise ValueError(f"got {len(seeds)} seeds for {len(prompts)} prompts")
-        _check_each(prompts, self.vocab_size, _OUT_OF_VOCAB)
+        _check_ids(prompts, self.vocab_size, _OUT_OF_VOCAB)
         if max_new < 0:
             raise ValueError("max_new must be >= 0")
         if not temperature >= 0:
@@ -385,8 +385,7 @@ class NgramModel:
         ))
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        _save(self.to_bytes(), path)
 
     @classmethod
     def load(cls, path: str) -> "NgramModel":

@@ -12,6 +12,7 @@ from abpe import (
     BpeModel,
     Corpus,
     FormatError,
+    KMeansModel,
     NgramModel,
     SynthSpec,
     load_tokens,
@@ -19,7 +20,7 @@ from abpe import (
     save_tokens,
     synth_corpus,
 )
-from abpe import cli
+from abpe import cli, corpus
 from abpe.cli import main
 
 
@@ -426,6 +427,16 @@ def test_non_finite_parameters_fail_cleanly(tmp_path, capsys, sub, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["1_0,1", "\u0661,1", "1,\u00a01"])
+def test_weights_take_only_ascii_decimals_without_underscores(tmp_path, capsys, weights):
+    src, out = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(Corpus([[0, 1, 0], [1, 1]], 2), str(src))
+    assert run_cli("slm-train", "--in", src, "--order", 2, "--weights", weights, "--out", out) == 1
+    bad = next(w for w in weights.split(",") if w != "1")
+    assert capsys.readouterr().err == f"error: malformed number {bad!r}\n"
+    assert not out.exists()
+
+
 class _HalfThenFail:
     """A file whose ``write`` stores half of the bytes, then raises ``error``."""
 
@@ -453,7 +464,7 @@ def test_failed_out_write_leaves_no_trace(tmp_path, capsys, monkeypatch, fail_at
     out = tmp_path / "corpus.tok"
     out.write_bytes(b"#vocab 2\n0 1\n")
     if fail_at == "write":
-        monkeypatch.setattr(cli, "open", lambda *a: _HalfThenFail(open(*a)), raising=False)
+        monkeypatch.setattr(corpus, "open", lambda *a: _HalfThenFail(open(*a)), raising=False)
     else:
         monkeypatch.setattr(cli.os, "replace", _refuse_replace)
     assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", out) == 1
@@ -461,6 +472,40 @@ def test_failed_out_write_leaves_no_trace(tmp_path, capsys, monkeypatch, fail_at
     assert err.startswith("error:") and "Traceback" not in err
     assert out.read_bytes() == b"#vocab 2\n0 1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.tok"]
+
+
+# every library saver, each writing through corpus._save as --out does
+_SAVERS = {
+    "tokens": lambda path: save_tokens(Corpus([[0, 1]], 2), path),
+    "features": lambda path: save_features(np.ones((2, 2)), path),
+    "merges": BpeModel(2, [(0, 1)]).save,
+    "ngram": NgramModel.train(Corpus([[0, 1]], 2), order=2).save,
+    "kmeans": KMeansModel(np.ones((1, 2))).save,
+}
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+@pytest.mark.parametrize("saver", list(_SAVERS))
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch, saver, error):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old")
+    monkeypatch.setattr(corpus, "open", lambda *a: _HalfThenFail(open(*a), error), raising=False)
+    with pytest.raises(type(error)):
+        _SAVERS[saver](str(path))
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+@pytest.mark.parametrize("saver", list(_SAVERS))
+def test_save_replaces_a_file_and_keeps_its_mode(tmp_path, saver):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old")
+    path.chmod(0o604)
+    _SAVERS[saver](str(path))
+    assert path.read_bytes() != b"old"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def _interrupt(args):
@@ -475,8 +520,8 @@ def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, at):
     if at == "handler":
         monkeypatch.setattr(cli, "_cmd_synth", _interrupt)
     else:
-        monkeypatch.setattr(cli, "open", lambda *a: _HalfThenFail(open(*a), KeyboardInterrupt()),
-                            raising=False)
+        monkeypatch.setattr(corpus, "open",
+                            lambda *a: _HalfThenFail(open(*a), KeyboardInterrupt()), raising=False)
     assert run_cli("synth", "--vocab", 5, "--utts", 2, "--seed", 0, "--out", out) == 130
     assert capsys.readouterr().err == "error: interrupted\n"
     assert out.read_bytes() == b"#vocab 2\n0 1\n"

@@ -1,6 +1,11 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import abpe
 from abpe import (
     Corpus,
     FormatError,
@@ -179,6 +184,16 @@ class TestFeatureFiles:
             save_features(np.array([[1e39, 0.0]]), str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\u00a01", "1\u2003", "x", ""])
+    def test_csv_takes_only_ascii_decimals_without_underscores(self, tmp_path, cell):
+        path = write(tmp_path / "f.csv", f"1,2,3\n4,{cell},6\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}:2: malformed number$"):
+            load_features(path)
+
+    def test_csv_cells_may_have_ascii_spaces_around_them(self, tmp_path):
+        mat = load_features(write(tmp_path / "f.csv", " 1 ,\t-2.5e1\n+.5 , 3. \n"))
+        assert mat.tolist() == [[1.0, -25.0], [0.5, 3.0]]
+
     def test_ragged_csv_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="column"):
             load_features(write(tmp_path / "f.csv", "1,2\n3"))
@@ -229,3 +244,54 @@ class TestSynthCorpus:
             SynthSpec(10, 5, (4, 8), 0, (1, 1), 0.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             SynthSpec(1, 5, (4, 8), 0, (1, 1), 0.0, 1.0, seed=0)
+
+
+def _opens_for_writing(tree):
+    """The (function, line) of each call in ``tree`` that may open a file for writing: ``open``
+    with a mode that is not a constant or holds w, x, a or +, and ``write_text``/``write_bytes``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open" and isinstance(node.func, ast.Name):
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wxa+")
+                       for m in modes):
+                    found.append((func, node.lineno))
+            elif name in ("write_text", "write_bytes"):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_corpus_save_opens_files_for_writing():
+    # every artifact goes through one writer, which leaves the whole new file or the old one
+    writers = {}
+    for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
+        found = _opens_for_writing(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            writers[path.name] = sorted({func for func, _ in found})
+    assert writers == {"corpus.py": ["_save"]}
+
+
+def test_writer_guard_sees_each_way_to_open_for_writing():
+    source = """
+def reads(p):
+    open(p)
+    open(p, "rb")
+    open(p, mode="r", encoding="utf-8")
+def writes(p, m):
+    open(p, "w")
+    open(p, "xb")
+    open(p, mode="a")
+    open(p, "r+")
+    open(p, m)
+    p.write_text("x")
+"""
+    assert [line for _, line in _opens_for_writing(ast.parse(source))] == [7, 8, 9, 10, 11, 12]

@@ -184,7 +184,8 @@ def _names_sequence(index, call):
 
 # site, its id limit, a call on a sequence, and the message for a bad id at position 1
 _ID_SITES = {
-    "Corpus": (3, lambda s: Corpus([[0], s], 3), "utterance 1: id {id} outside [0, 3)"),
+    "Corpus": (3, _names_sequence(1, lambda s: Corpus([[0], s], 3)),
+               "utterance 1: id {id} outside [0, 3)"),
     "encode": (3, _BPE.encode, "id {id} at position 1 is outside the base alphabet"),
     "decode": (4, _BPE.decode, "id {id} at position 1 out of range"),
     "logprob": (3, _LM.logprob, "id {id} at position 1 out of vocabulary"),
@@ -230,13 +231,51 @@ def test_batch_id_check_rejects_a_float_that_int64_would_take(site, bad):
         call([0, bad])
 
 
+@pytest.mark.parametrize("bad", [1.5, np.float64(1.0)], ids=["float", "np.float64"])
+@pytest.mark.parametrize("site", list(_ID_SITES))
+def test_every_id_check_site_rejects_an_in_range_non_integer(site, bad):
+    limit, call, message = _ID_SITES[site]
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(id=bad)) + "$"):
+        call([0, bad])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("site", list(_ID_SITES))
+def test_every_id_check_site_accepts_numpy_integers(site, dtype):
+    limit, call, _ = _ID_SITES[site]
+    got, want = call([dtype(0), dtype(limit - 1)]), call([0, limit - 1])
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def test_narrow_numpy_integers_read_as_their_values():
+    lm = NgramModel.train(Corpus([list(range(200)) * 2], 200), order=2)
+    assert np.array_equal(lm.next_dist([np.int8(127)]), lm.next_dist([127]))
+    assert lm.generate([np.int8(127)], 3, seed=0) == lm.generate([127], 3, seed=0)
+    assert tokens_to_unicode([np.int16(20000), np.uint8(255)]) == tokens_to_unicode([20000, 255])
+
+
+@pytest.mark.parametrize("operand", [1.5, np.float64(1.0), -1, 3])
+def test_merge_operands_follow_the_id_rule(operand):
+    with pytest.raises(IdRangeError, match=r"^merge 0: operand out of range for unit 3$"):
+        BpeModel(3, [(0, operand)])
+
+
+def test_merge_operands_of_any_integer_type_write_as_decimals():
+    model = BpeModel(3, [(np.int64(0), np.int32(1)), (3, True)])
+    assert model.dumps() == "#abpe 1\n#base 3\n0 1\n3 1\n"
+
+
 def test_check_ids_names_the_first_bad_id():
     from abpe.corpus import _check_ids
 
     _check_ids([], 0, "unused")
-    _check_ids((0, 2), 3, "unused")
-    with pytest.raises(ValueError, match=r"^5 at 1 below 3$"):
-        _check_ids([0, 5, -1, 7], 3, "{id} at {pos} below {limit}")
+    _check_ids([(0, 2), []], 3, "unused")
+    with pytest.raises(IdRangeError, match=r"^5 at 1 below 3 in 4$") as exc:
+        _check_ids([[1], [0, 5, -1, 7]], 3, "{id} at {pos} below {limit} in {index}", 3)
+    assert exc.value.index == 4
+    # the first id that is not an integer, not the first one equal to it
+    with pytest.raises(IdRangeError, match=r"^1.0 at 2$"):
+        _check_ids([np.array([0, 1, 1.0, 2], dtype=object)], 3, "{id} at {pos}")
 
 
 _NOT_UTF8 = b"0 1\r\n\xff 2\n"  # the bad byte is byte 5 of the file

@@ -12,12 +12,14 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abpe import BpeModel, Corpus, NgramModel, slm
+from abpe import BpeModel, Corpus, NgramModel, load_tokens, save_tokens, slm
 from abpe.bpe import _count_pairs
+from abpe.corpus import IdRangeError
 from abpe.kmeans import _nearest, _plusplus_init
 
 from oracles import (
@@ -294,3 +296,25 @@ def test_plusplus_init_matches_oracle(case, offset, seed):
 @given(seeding_cases(st.floats(-100, 100, width=32)), st.integers(0, 2**32 - 1))
 def test_plusplus_init_matches_oracle_with_float32_values(case, seed):
     check_seeding(*case, seed)
+
+
+# ids of every integer type, below 6, and values near them that are not ids
+_IDS = st.one_of(st.integers(0, 5), st.booleans(),
+                 *(st.integers(0, 5).map(t) for t in (np.int8, np.int32, np.int64, np.uint64)))
+_NOT_IDS = st.one_of(st.integers(-2, -1), st.integers(6, 7), st.floats(-1.5, 6.5),
+                     st.integers(0, 5).map(np.float64))
+
+
+@PROFILE
+@given(st.lists(st.lists(_IDS, min_size=1, max_size=5), min_size=1, max_size=4), st.data())
+def test_an_accepted_corpus_round_trips_through_a_token_file(utterances, data):
+    if data.draw(st.booleans()):  # one value that is not an id makes the corpus invalid
+        utt = data.draw(st.sampled_from(utterances))
+        utt.insert(data.draw(st.integers(0, len(utt))), data.draw(_NOT_IDS))
+        with pytest.raises(IdRangeError):
+            Corpus(utterances, 6)
+        return
+    corpus = Corpus(utterances, 6)
+    with tempfile.TemporaryDirectory(prefix="abpe-roundtrip-") as tmp:
+        save_tokens(corpus, f"{tmp}/c.tok")
+        assert load_tokens(f"{tmp}/c.tok") == corpus
