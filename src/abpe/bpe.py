@@ -6,8 +6,19 @@ the requested vocabulary size is reached or no pair occurs at least twice.
 Occurrences are counted non-overlapping left-to-right (a run of m equal
 units contributes floor(m/2) pairs) and never across utterance boundaries.
 Frequency ties go to the lexicographically smallest (left, right) pair.
-Training keeps each utterance's pair counts and, after a merge, recounts
-only the utterances that hold the merged pair.
+The trainer keeps the corpus as one token list with next and previous links
+and -1 around each utterance, so no pair crosses a boundary, and an index
+from each pair to the positions where it starts. A merge of (a, b) visits
+only its pair's positions, in ascending order, and skips one whose left
+token an earlier site of the merge took: the left-to-right rule inside runs.
+A site with no equal neighbour moves five counts by one, (x, a), (a, b) and
+(b, y) down and (x, new) and (new, y) up. A site beside a run (of a on its
+left, of b on its right, or a site of the same merge right after it)
+recounts with ``_count_pairs`` a window from the token before the run of a
+to the token after the run of b, grown over every site that starts inside
+it, so each run is counted whole and once per merge and floor(m/2) stays
+exact. Once a pair exists its count never rises, so a lazy heap of counts
+finds each merge.
 
 Encoding gives the lowest-rank rule of Sennrich et al. 2016: merge the
 lowest-ranked adjacent pair (all its non-overlapping occurrences) until no
@@ -38,12 +49,14 @@ id N+i.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+from collections import defaultdict
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _parse_id,
-                     _parse_ids, _read_lines, _save)
+from .corpus import (_SPACE, Corpus, TokenSequence, _blockwise, _check_ids, _id_stream,
+                     _parse_id, _parse_ids, _read_lines, _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -66,22 +79,6 @@ def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> None:
         else:
             counts[pair] = counts.get(pair, 0) + 1
             last = pair
-
-
-def _merge_pair(seq: list[int], pair: Pair, new_id: int) -> list[int]:
-    """Replace left-to-right non-overlapping occurrences of ``pair``."""
-    a, b = pair
-    out: list[int] = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if i < n - 1 and seq[i] == a and seq[i + 1] == b:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
 
 
 class BpeModel:
@@ -148,17 +145,22 @@ class BpeModel:
                 f"vocab_size {vocab_size} is below the base alphabet size {base}"
             )
         _check_base_size(base)
-        seqs = [list(u) for u in corpus.utterances]
-        own: list[dict[Pair, int]] = []  # each utterance's pair counts
+        # the corpus as one linked token list, -1 around each utterance, and an
+        # index from each pair to the positions it starts at (or once started
+        # at: an entry is checked when it is used). A merged site keeps its left
+        # position and unlinks its right one, whose token becomes -1.
+        tok: list[int] = [-1]
         counts: dict[Pair, int] = {}
-        holds: dict[int, set[int]] = {}  # unit -> utterances that hold or once held it
-        for i, seq in enumerate(seqs):
-            own.append({})
-            _count_pairs(seq, own[i])
-            for pair, n in own[i].items():
-                counts[pair] = counts.get(pair, 0) + n
-            for unit in seq:
-                holds.setdefault(unit, set()).add(i)
+        where: defaultdict[Pair, list[int]] = defaultdict(list)
+        for u in corpus.utterances:
+            _count_pairs(u, counts)
+            for p, pair in enumerate(zip(u, u[1:]), len(tok)):
+                where[pair].append(p)
+            tok.extend(u)  # any sequence: += would add a numpy array elementwise
+            tok.append(-1)
+        nxt = list(range(1, len(tok) + 1))
+        prv = list(range(-1, len(tok) - 1))
+
         # lazy heap of pairs counted at least twice, by count then smallest pair;
         # an entry is stale once its count is no longer the pair's count
         heap = [(-n, pair) for pair, n in counts.items() if n >= 2]
@@ -170,28 +172,87 @@ class BpeModel:
             if not heap:
                 break
             best = heap[0][1]
-            delta: dict[Pair, int] = {}
-            holds[new_id] = set()
-            for i in sorted(holds[best[0]] & holds[best[1]]):
-                if best not in own[i]:
+            a, b = best
+            delta: defaultdict[Pair, int] = defaultdict(int)
+            sites = sorted(where.pop(best))
+            k = 0
+            while k < len(sites):
+                i = sites[k]
+                k += 1
+                j = nxt[i]
+                if tok[i] != a or tok[j] != b:
+                    continue  # stale, or its left token went to an earlier site
+                x, y = prv[i], nxt[j]
+                if tok[x] != a and tok[y] != b and (tok[y] != a or tok[nxt[y]] != b):
+                    # no equal neighbour and no site right after: five counts move by one
+                    delta[best] -= 1
+                    tok[i] = new_id
+                    tok[j] = -1
+                    nxt[i] = y
+                    prv[y] = i
+                    if tok[x] != -1:
+                        delta[tok[x], a] -= 1
+                        delta[tok[x], new_id] += 1
+                        where[tok[x], new_id].append(x)
+                    if tok[y] != -1:
+                        delta[b, tok[y]] -= 1
+                        delta[new_id, tok[y]] += 1
+                        where[new_id, tok[y]].append(i)
                     continue
-                seqs[i] = _merge_pair(seqs[i], best, new_id)
-                holds[new_id].add(i)
-                old, new = own[i], {}
-                _count_pairs(seqs[i], new)
-                own[i] = new
-                for pair, n in new.items():
-                    n -= old.pop(pair, 0)
-                    if n:
-                        delta[pair] = delta.get(pair, 0) + n
-                for pair, n in old.items():  # gone from utterance i
-                    delta[pair] = delta.get(pair, 0) - n
+                # runs: recount the window from the token before the run of a left
+                # of the site to the token after the run of b right of the last site
+                # it reaches, so each run is counted whole and once
+                before = []
+                while tok[x] == a:
+                    before.append(a)
+                    x = prv[x]
+                if tok[x] != -1:
+                    before.append(tok[x])
+                before.reverse()
+                after = before[:]
+                old_add, new_add = before.append, after.append
+                runs = []  # positions of (new_id, new_id)
+                p = i
+                while True:  # merge left to right, indexing each pair made
+                    t = tok[p]
+                    q = nxt[p]
+                    if t == a and tok[q] == b:
+                        before += best
+                        new_add(new_id)
+                        tok[p] = new_id
+                        tok[q] = -1
+                        q = nxt[p] = nxt[q]
+                        prv[q] = p
+                        x = prv[p]
+                        if tok[x] == new_id:
+                            runs.append(x)
+                        elif tok[x] != -1:
+                            where[tok[x], new_id].append(x)
+                    elif t == -1:
+                        break
+                    else:
+                        old_add(t)
+                        new_add(t)
+                        if tok[prv[p]] == new_id:
+                            where[new_id, t].append(prv[p])
+                        if t != b:
+                            break  # the token after the run of b
+                    p = q
+                if runs:
+                    where[new_id, new_id] += runs
+                k = bisect.bisect_right(sites, p, k)  # past every site in the window
+                old: dict[Pair, int] = {}
+                _count_pairs(before, old)
+                _count_pairs(after, delta)
+                for pair, n in old.items():
+                    delta[pair] -= n
             for pair, d in delta.items():
-                n = counts.pop(pair, 0) + d
-                if n:
-                    counts[pair] = n
-                if n >= 2:
-                    heapq.heappush(heap, (-n, pair))
+                if d:
+                    n = counts.pop(pair, 0) + d
+                    if n:
+                        counts[pair] = n
+                    if n >= 2:
+                        heapq.heappush(heap, (-n, pair))
             merges.append(best)
         return cls(base, merges)
 
@@ -283,10 +344,10 @@ class BpeModel:
         lines = _read_lines(path)
         if len(lines) < 2 or not lines[0].startswith("#abpe"):
             raise FormatError(f"{path}: missing '#abpe' header")
-        parts = lines[0].split()
+        parts = _split(lines[0])
         if len(parts) != 2 or parts[1] != str(MERGES_VERSION):
             raise FormatError(f"{path}: unsupported merges version {lines[0]!r}")
-        base_parts = lines[1].split()
+        base_parts = _split(lines[1])
         if len(base_parts) != 2 or base_parts[0] != "#base":
             raise FormatError(f"{path}: missing '#base <N>' line")
         try:
@@ -295,7 +356,7 @@ class BpeModel:
             raise FormatError(f"{path}:2: {exc}") from None
         merges: list[Pair] = []
         for lineno, raw in enumerate(lines[2:], start=3):
-            line = raw.strip()
+            line = raw.strip(_SPACE)
             if not line:
                 continue
             try:

@@ -5,7 +5,9 @@ On-disk formats handled here:
 * Token file: UTF-8 text, one utterance per line, token ids written
   ``0|[1-9][0-9]*`` in ASCII and separated by spaces. An optional first
   line ``#vocab <N>`` pins the vocabulary size; without it the size
-  defaults to ``1 + max(id)``.
+  defaults to ``1 + max(id)``. Every text format here splits and strips
+  lines on the six ASCII whitespace characters only (space, ``\t``,
+  ``\n``, ``\r``, ``\v``, ``\f``); any other character is part of a field.
 * Feature binary: magic ``ABPEFEAT``, u32 LE version (=1), u64 LE row
   count, u64 LE dim, then row-major little-endian float32 values.
   Every matrix, read or written in either form, must be finite and fit
@@ -95,12 +97,15 @@ def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
     for seq in seqs:
         stream.extend(seq)
         stream.extend(mark)
-    t = np.array(stream)  # int64 unless some id is a float or outside int64
-    expected = len(head) + len(seqs) * len(mark)
-    if t.dtype != np.int64 or np.count_nonzero(t.view(np.uint64) >= limit) != expected:
-        _check_ids(seqs, limit, message, first)
-        t = t.astype(np.int64)  # valid ids of another dtype, such as np.uint64
-    return t
+    # the type test of ``_check_ids``, in C: numpy would also read a numpy bool or a
+    # 0-d array as an int64
+    if all(issubclass(tp, (int, np.integer)) for tp in set(map(type, stream))):
+        t = np.array(stream)  # int64 unless some id is outside int64
+        expected = len(head) + len(seqs) * len(mark)
+        if t.dtype == np.int64 and np.count_nonzero(t.view(np.uint64) >= limit) == expected:
+            return t
+    _check_ids(seqs, limit, message, first)
+    return np.array(stream).astype(np.int64)  # valid ids of another dtype, such as np.uint64
 
 
 def _blockwise(fn, seqs) -> list:
@@ -119,6 +124,14 @@ def _blockwise(fn, seqs) -> list:
     return out + fn(block, len(out))
 
 
+_SPACE = " \t\n\r\v\f"  # the ASCII whitespace that ``bytes.split`` splits on
+
+
+def _split(line: str) -> list[str]:
+    """A line of a text file split on ASCII whitespace only."""
+    return [t.decode() for t in line.encode().split()]
+
+
 def _parse_id(token: str) -> int:
     """One integer field in the canonical grammar ``0|[1-9][0-9]*``."""
     if token.isascii() and token.isdigit() and (token[0] != "0" or token == "0"):
@@ -130,16 +143,20 @@ def _parse_float(token: str) -> float:
     """One decimal field: what ``float`` reads, in ASCII and without ``_``."""
     if not token.isascii() or "_" in token:
         raise FormatError(f"malformed number {token!r}")
-    return float(token)
+    return float(token)  # which strips ASCII whitespace only, once non-ASCII is excluded
 
 
 def _parse_ids(text: str) -> list[int]:
-    """Whitespace-separated ids, each in the grammar of ``_parse_id``."""
-    return [_parse_id(t) for t in text.split()]
+    """Ids separated by ASCII whitespace, each in the grammar of ``_parse_id``."""
+    # bytes split on ASCII whitespace only, and their isdigit() takes ASCII digits only; a
+    # token that fails here fails ``_parse_id`` too, which raises its error
+    raw = text.encode("utf-8", "surrogatepass")  # a --prompt may hold escaped argv bytes
+    return [int(t) if t.isdigit() and (t[0] != 48 or len(t) == 1)
+            else _parse_id(t.decode("utf-8", "surrogatepass")) for t in raw.split()]
 
 
 def _parse_vocab_header(line: str) -> int:
-    parts = line.split()
+    parts = _split(line)
     if len(parts) != 2 or parts[0] != TOKEN_HEADER_PREFIX:
         raise FormatError("expected '#vocab <N>' header")
     vocab = _parse_id(parts[1])
@@ -160,17 +177,17 @@ def _read_lines(path: str) -> list[str]:
 def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
     """The line loop every corpus reader shares.
 
-    Blank lines are skipped and every other stripped line becomes one
-    utterance through ``parse_line``; a ``ValueError`` it raises is
-    reported as ``path:lineno``. With ``header``, a line 1 that starts
-    with ``#`` is passed to it and gives the vocab size. The vocab size,
-    given or from the header, must cover every id; without one it is
-    ``1 + max(id)``.
+    Blank lines are skipped and every other line, stripped of ASCII
+    whitespace, becomes one utterance through ``parse_line``; a
+    ``ValueError`` it raises is reported as ``path:lineno``. With
+    ``header``, a line 1 that starts with ``#`` is passed to it and gives
+    the vocab size. The vocab size, given or from the header, must cover
+    every id; without one it is ``1 + max(id)``.
     """
     lines = _read_lines(path)
     utterances: list[TokenSequence] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line:
             continue
         try:
@@ -287,7 +304,7 @@ def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.n
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line:
             continue
         try:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,36 @@ def test_merge_that_makes_a_run_counts_the_run_non_overlapping():
     assert BpeModel.train(corpus, 10).merges == [(0, 1)] == bpe_train_merges(corpus, 10)
 
 
+@pytest.mark.parametrize("utts, first", [
+    ([[0, 0, 0, 1]] * 2 + [[0, 1]], (0, 1)),  # a run of a left of the site (a, b)
+    ([[1, 0, 0, 0]] * 2 + [[1, 0]], (1, 0)),  # a run of b right of the site (a, b)
+    ([[0, 1, 0, 1, 0, 1]] * 2, (0, 1)),  # adjacent sites merge into a run
+    ([[0, 0, 1, 0, 0, 1]] * 2 + [[0, 1]], (0, 1)),  # sites between runs of a
+    ([[2, 0, 0, 0, 0, 0, 1, 1, 1, 2, 0, 1, 0, 1, 1]] * 2, (0, 1)),
+], ids=["aaab", "baaa", "ababab", "aabaab", "mixed"])
+def test_sites_beside_runs_match_oracle(utts, first):
+    corpus = Corpus(utts, 3)
+    merges = BpeModel.train(corpus, 20).merges
+    assert merges[0] == first
+    assert merges == bpe_train_merges(corpus, 20)
+
+
+def test_long_runs_match_oracle():
+    # a run of 5000 and a chain of 2000 sites: each merge takes every site of a
+    # run or a chain in one window, so training stays linear
+    corpus = Corpus([[0] * 5000 + [1, 0] * 2000], 2)
+    assert BpeModel.train(corpus, 40).merges == bpe_train_merges(corpus, 40)
+
+
+def test_utterances_of_any_sequence_type_train_alike():
+    lists = [[0, 1, 0, 1, 1, 1, 0], [], [1, 1, 1, 0, 1]]
+    want = BpeModel.train(Corpus(lists, 2), 8).merges
+    assert want == bpe_train_merges(Corpus(lists, 2), 8)
+    for utts in ([np.array(u, dtype=np.int64) for u in lists], [tuple(u) for u in lists],
+                 [np.array(u, dtype=np.uint8) for u in lists]):
+        assert BpeModel.train(Corpus(utts, 2), 8).merges == want
+
+
 def test_stops_when_no_pair_repeats():
     corpus = Corpus([[0, 1, 2, 3]], 4)
     model = BpeModel.train(corpus, 100)
@@ -287,6 +318,28 @@ class TestMergesFile:
         path.write_text("#abpe 9\n#base 2\n0 1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="version"):
             BpeModel.load(str(path))
+
+    @pytest.mark.parametrize("line, token", [("0\u30001", "0\u30001"), ("0\x1c1", "0\x1c1")])
+    def test_merge_line_splits_on_ascii_whitespace_only(self, tmp_path, line, token):
+        path = tmp_path / "m.merges"
+        path.write_text(f"#abpe 1\n#base 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf":3: malformed integer {re.escape(repr(token))}$"):
+            BpeModel.load(str(path))
+
+    @pytest.mark.parametrize("header, message", [
+        ("#abpe\u30001\n#base 2", "unsupported merges version"),
+        ("#abpe 1\n#base\x1c2", "missing '#base <N>' line"),
+    ])
+    def test_merges_headers_split_on_ascii_whitespace_only(self, tmp_path, header, message):
+        path = tmp_path / "m.merges"
+        path.write_text(f"{header}\n0 1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            BpeModel.load(str(path))
+
+    def test_merge_lines_take_any_ascii_whitespace(self, tmp_path):
+        path = tmp_path / "m.merges"
+        path.write_text("#abpe\t1\n#base  2 \n0\t1\r\n\v2 2\n", encoding="utf-8")
+        assert BpeModel.load(str(path)) == BpeModel(2, [(0, 1), (2, 2)])
 
     @pytest.mark.parametrize("line", ["0 1 2", "5"])
     def test_merge_line_needs_two_ids(self, tmp_path, line):

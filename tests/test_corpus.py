@@ -64,6 +64,29 @@ class TestTokenFiles:
         with pytest.raises(FormatError, match="line 1"):
             load_tokens(write(tmp_path / "a.tok", "1\n#vocab 9\n"))
 
+    @pytest.mark.parametrize("text, lineno, token", [
+        ("0 1\n\u30001 0\n", 2, "\u30001"),
+        ("0\x1c1\n", 1, "0\x1c1"),
+        ("0\u20031\n", 1, "0\u20031"),
+        ("1 0\u00a0\n", 1, "0\u00a0"),
+        ("1 0\x1f\n", 1, "0\x1f"),
+    ])
+    def test_ids_are_separated_by_ascii_whitespace_only(self, tmp_path, text, lineno, token):
+        path = write(tmp_path / "a.tok", text)
+        message = f"^{re.escape(path)}:{lineno}: malformed integer {re.escape(repr(token))}$"
+        with pytest.raises(FormatError, match=message):
+            load_tokens(path)
+
+    def test_ids_may_be_separated_by_any_ascii_whitespace(self, tmp_path):
+        corpus = load_tokens(write(tmp_path / "a.tok", "0\t1\n0  1 \r\n\v2\f0 \n"))
+        assert corpus.utterances == [[0, 1], [0, 1], [2, 0]]
+
+    @pytest.mark.parametrize("header", ["#vocab\u30005", "#vocab\x1c5"])
+    def test_vocab_header_splits_on_ascii_whitespace_only(self, tmp_path, header):
+        path = write(tmp_path / "a.tok", f"{header}\n0\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}:1: expected '#vocab <N>' header$"):
+            load_tokens(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         corpus = load_tokens(write(tmp_path / "a.tok", "1 2\n\n\n0\n"))
         assert corpus.utterances == [[1, 2], [0]]
@@ -187,6 +210,13 @@ class TestFeatureFiles:
     @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\u00a01", "1\u2003", "x", ""])
     def test_csv_takes_only_ascii_decimals_without_underscores(self, tmp_path, cell):
         path = write(tmp_path / "f.csv", f"1,2,3\n4,{cell},6\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}:2: malformed number$"):
+            load_features(path)
+
+    @pytest.mark.parametrize("line", ["\u30001,2", "\u00a01,2", "1,2\u2003", "\x1c1,2", "1,2\x1f",
+                                      "1,\x1d2"])
+    def test_csv_lines_are_stripped_of_ascii_whitespace_only(self, tmp_path, line):
+        path = write(tmp_path / "f.csv", f"3,4\n{line}\n")
         with pytest.raises(FormatError, match=f"^{re.escape(path)}:2: malformed number$"):
             load_features(path)
 

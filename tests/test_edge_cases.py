@@ -24,7 +24,7 @@ from abpe import (
 from abpe.cli import _read_manifest, main
 from abpe.corpus import IdRangeError, _read_corpus
 
-from oracles import random_small_corpus
+from oracles import bpe_apply_merge, random_small_corpus
 
 
 def test_encode_reproduces_training_segmentation():
@@ -38,9 +38,7 @@ def test_encode_reproduces_training_segmentation():
 
         state = [list(u) for u in corpus.utterances]
         for rank, pair in enumerate(model.merges):
-            from abpe.bpe import _merge_pair
-
-            state = [_merge_pair(s, pair, model.base_size + rank) for s in state]
+            state = [bpe_apply_merge(s, pair, model.base_size + rank) for s in state]
         assert [model.encode(u) for u in corpus.utterances] == state
 
 
@@ -231,12 +229,25 @@ def test_batch_id_check_rejects_a_float_that_int64_would_take(site, bad):
         call([0, bad])
 
 
-@pytest.mark.parametrize("bad", [1.5, np.float64(1.0)], ids=["float", "np.float64"])
+# np.array() reads a numpy bool and a 0-d array into an int64 stream, so the batched
+# sites test each id's type first
+@pytest.mark.parametrize("bad", [1.5, np.float64(1.0), np.bool_(True), np.array(1)],
+                         ids=["float", "np.float64", "np.bool_", "0-d array"])
 @pytest.mark.parametrize("site", list(_ID_SITES))
 def test_every_id_check_site_rejects_an_in_range_non_integer(site, bad):
     limit, call, message = _ID_SITES[site]
     with pytest.raises(ValueError, match="^" + re.escape(message.format(id=bad)) + "$"):
         call([0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.bool_(True), np.array(1)], ids=["np.bool_", "0-d array"])
+def test_batched_sites_name_the_sequence_of_an_id_numpy_reads_as_an_integer(bad):
+    with pytest.raises(IdRangeError, match=f"^id {bad} at position 1 is outside") as exc:
+        _BPE.encode_corpus([[0, 1], [0, bad, 1], [2]])
+    assert exc.value.index == 1
+    with pytest.raises(IdRangeError, match=f"^id {bad} at position 2 out of vocabulary") as exc:
+        _LM.logprobs([[0], [], [2, 0, bad]])
+    assert exc.value.index == 2
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

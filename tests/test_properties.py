@@ -61,6 +61,16 @@ def wide_corpora(draw):
 
 
 @st.composite
+def run_corpora(draw):
+    """Utterances made of runs of 1-30 equal units over 2-3 symbols: merges of (a, a),
+    sites beside runs, and chains such as a b a b that merge into runs."""
+    vocab = draw(st.integers(2, 3))
+    run = st.tuples(st.integers(0, vocab - 1), st.integers(1, 30))
+    utts = draw(st.lists(st.lists(run, min_size=1, max_size=8), min_size=1, max_size=6))
+    return Corpus([[unit for unit, n in u for _ in range(n)] for u in utts], vocab)
+
+
+@st.composite
 def models_and_sequences(draw):
     """A BPE model trained on a drawn corpus, and a sequence over its base alphabet."""
     corpus = draw(corpora())
@@ -127,6 +137,13 @@ def test_train_matches_oracle(corpus, extra):
 @PROFILE
 @given(wide_corpora(), st.integers(0, 30))
 def test_train_matches_oracle_on_wide_corpora(corpus, extra):
+    target = corpus.vocab_size + extra
+    assert BpeModel.train(corpus, target).merges == bpe_train_merges(corpus, target)
+
+
+@PROFILE
+@given(run_corpora(), st.integers(0, 30))
+def test_train_matches_oracle_on_run_corpora(corpus, extra):
     target = corpus.vocab_size + extra
     assert BpeModel.train(corpus, target).merges == bpe_train_merges(corpus, target)
 
