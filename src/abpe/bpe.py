@@ -55,8 +55,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import (_SPACE, Corpus, TokenSequence, _blockwise, _check_ids, _id_stream,
-                     _parse_id, _parse_ids, _read_lines, _save, _split)
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _parse_id,
+                     _parse_ids, _read_lines, _read_records, _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -354,18 +354,14 @@ class BpeModel:
             base = _parse_id(base_parts[1])
         except FormatError as exc:
             raise FormatError(f"{path}:2: {exc}") from None
-        merges: list[Pair] = []
-        for lineno, raw in enumerate(lines[2:], start=3):
-            line = raw.strip(_SPACE)
-            if not line:
-                continue
-            try:
-                ids = _parse_ids(line)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+
+        def parse(line: str, lineno: int) -> Pair:
+            ids = _parse_ids(line)
             if len(ids) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'left right'")
-            merges.append((ids[0], ids[1]))
+                raise FormatError("expected 'left right'")
+            return ids[0], ids[1]
+
+        merges = _read_records(lines[2:], path, parse, start=3)
         try:
             return cls(base, merges)
         except ValueError as exc:

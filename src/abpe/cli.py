@@ -27,6 +27,7 @@ from .corpus import (
     _parse_ids,
     _read_corpus,
     _read_lines,
+    _read_records,
     _save,
     dump_tokens,
     load_features,
@@ -200,30 +201,25 @@ def _cmd_continue(args) -> None:
 
 def _read_manifest(path: str):
     """Parse the candidate manifest TSV into ordered per-case groups."""
-    lines = _read_lines(path)
-    cases: dict[str, list[tuple[str, str, int | None]]] = {}
     base = os.path.dirname(os.path.abspath(path))
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+
+    def parse(line: str, lineno: int):
         cells = line.split("\t")
         if lineno == 1 and cells[0] == "case_id":
-            continue
+            return None
         if len(cells) not in (3, 4):
-            raise FormatError(
-                f"{path}:{lineno}: expected 3 or 4 tab-separated columns"
-            )
-        case_id, cand_id, token_path = cells[0], cells[1], cells[2]
+            raise FormatError("expected 3 or 4 tab-separated columns")
         rank: int | None = None
         if len(cells) == 4 and cells[3] != "":
             try:
                 rank = _parse_id(cells[3])
             except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: rank: {exc}") from None
-        if not os.path.isabs(token_path):
-            token_path = os.path.join(base, token_path)
-        cases.setdefault(case_id, []).append((cand_id, token_path, rank))
+                raise FormatError(f"rank: {exc}") from None
+        return cells[0], (cells[1], os.path.join(base, cells[2]), rank)
+
+    cases: dict[str, list[tuple[str, str, int | None]]] = {}
+    for case_id, candidate in _read_records(_read_lines(path), path, parse):
+        cases.setdefault(case_id, []).append(candidate)
     if not cases:
         raise FormatError(f"{path}: empty manifest")
     return list(cases.items())

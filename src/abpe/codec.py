@@ -8,6 +8,8 @@ merged units stay integers.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .corpus import _check_ids
 
 REGION_BASE = 0x4E00
@@ -22,12 +24,9 @@ def tokens_to_unicode(seq: list[int]) -> str:
 
 
 def unicode_to_tokens(text: str) -> list[int]:
-    ids = []
-    for i, ch in enumerate(text):
-        cp = ord(ch)
-        if not REGION_BASE <= cp <= REGION_LAST:
-            raise ValueError(
-                f"character {ch!r} at index {i} is outside U+4E00..U+9FFF"
-            )
-        ids.append(cp - REGION_BASE)
-    return ids
+    # a code point below the block wraps above it, so one bound test finds every outsider
+    ids = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4") - np.uint32(REGION_BASE)
+    if ids.size and ids.max() >= REGION_SIZE:  # one reduction; the index only on failure
+        i = int(np.argmax(ids >= REGION_SIZE))
+        raise ValueError(f"character {text[i]!r} at index {i} is outside U+4E00..U+9FFF")
+    return ids.tolist()

@@ -174,31 +174,36 @@ def _read_lines(path: str) -> list[str]:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
-    """The line loop every corpus reader shares.
-
-    Blank lines are skipped and every other line, stripped of ASCII
-    whitespace, becomes one utterance through ``parse_line``; a
-    ``ValueError`` it raises is reported as ``path:lineno``. With
-    ``header``, a line 1 that starts with ``#`` is passed to it and gives
-    the vocab size. The vocab size, given or from the header, must cover
-    every id; without one it is ``1 + max(id)``.
-    """
-    lines = _read_lines(path)
-    utterances: list[TokenSequence] = []
-    for lineno, raw in enumerate(lines, start=1):
+def _read_records(lines, path: str, parse, start: int = 1) -> list:
+    """The one line loop of the text formats: ``parse(line, lineno)`` on each line, counted from
+    ``start``, that is not blank once stripped of ASCII whitespace. A ``ValueError`` it raises is
+    reported as ``path:lineno``; a ``None`` it returns, as for a header, is dropped."""
+    records = []
+    for lineno, raw in enumerate(lines, start):
         line = raw.strip(_SPACE)
-        if not line:
-            continue
-        try:
-            if header is None or line[0] != "#":
-                utterances.append(parse_line(line))
-            elif lineno == 1:
-                vocab = header(line)
-            else:
-                raise FormatError("header allowed on line 1 only")
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if line:
+            try:
+                record = parse(line, lineno)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if record is not None:
+                records.append(record)
+    return records
+
+
+def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
+    """One utterance through ``parse_line`` per record of ``_read_records``. With ``header``, a
+    line 1 that starts with ``#`` goes to it and gives the vocab size. The vocab size, given or
+    from the header, must cover every id; without one it is ``1 + max(id)``."""
+    def parse(line: str, lineno: int):
+        nonlocal vocab
+        if header is None or line[0] != "#":
+            return parse_line(line)
+        if lineno != 1:
+            raise FormatError("header allowed on line 1 only")
+        vocab = header(line)  # and the line gives no utterance
+
+    utterances = _read_records(_read_lines(path), path, parse)
     if not utterances:
         raise FormatError(f"{path}: no utterances")
     max_id = max(map(max, utterances))
@@ -302,17 +307,20 @@ def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.n
 
 
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip(_SPACE)
-        if not line:
-            continue
+    width = 0  # the column count of the first row
+
+    def parse(line: str, lineno: int) -> list[float]:
+        nonlocal width
         try:
-            rows.append([_parse_float(cell) for cell in line.split(",")])
+            row = [_parse_float(cell) for cell in line.split(",")]
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed number") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise FormatError(f"{path}:{lineno}: inconsistent column count")
+            raise FormatError("malformed number") from None
+        width = width or len(row)
+        if len(row) != width:
+            raise FormatError("inconsistent column count")
+        return row
+
+    rows = _read_records(text.split("\n"), path, parse)
     if not rows:
         raise FormatError(f"{path}: no feature rows")
     return _check_matrix(np.asarray(rows, dtype=np.float64), path)

@@ -152,11 +152,10 @@ def _update_centroids(
 
 @dataclass(eq=False)
 class KMeansModel:
-    """Centroids plus the fit diagnostics Lloyd's iterations produced."""
+    """Centroids plus the fit diagnostics: the inertia of the centroids each of Lloyd's iterations
+    started from, then of the final ones. ``inertia`` and ``n_iter`` are None for a loaded model."""
 
     centroids: np.ndarray
-    inertia: float | None = None
-    n_iter: int | None = None
     inertia_per_iter: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
@@ -170,6 +169,14 @@ class KMeansModel:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
+
+    @property
+    def inertia(self) -> float | None:
+        return self.inertia_per_iter[-1] if self.inertia_per_iter else None
+
+    @property
+    def n_iter(self) -> int | None:
+        return len(self.inertia_per_iter) - 1 if self.inertia_per_iter else None
 
     @classmethod
     def fit(
@@ -199,24 +206,17 @@ class KMeansModel:
         rng = np.random.default_rng(seed)
         centroids = x[_plusplus_init(x, k, rng)]
         history: list[float] = []
-        n_iter = 0
-        for it in range(max_iters):
+        for _ in range(max_iters):
             labels, dists = _nearest(x, centroids)
             history.append(float(dists.sum()))
             updated = _update_centroids(x, labels, dists, k)
             shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
             centroids = updated
-            n_iter = it + 1
             if shift <= tol:
                 break
         _, dists = _nearest(x, centroids)
         history.append(float(dists.sum()))
-        return cls(
-            centroids=centroids,
-            inertia=history[-1],
-            n_iter=n_iter,
-            inertia_per_iter=tuple(history),
-        )
+        return cls(centroids=centroids, inertia_per_iter=tuple(history))
 
     def assign(self, features) -> list[int]:
         """Nearest-centroid id per feature row (ties to the lowest index)."""

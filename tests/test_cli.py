@@ -373,7 +373,7 @@ def _non_canonical_case(tmp_path, field, bad):
     return ["rescore", "--model", model, "--manifest", manifest]
 
 
-@pytest.mark.parametrize("bad", ["1_0", "٣", "-0", "+1", "01", "x"])
+@pytest.mark.parametrize("bad", ["1_0", "٣", "-0", "+1", "01", "x", "1\u3000"])
 @pytest.mark.parametrize("field", ["token", "vocab", "base", "operand", "prompt", "rank"])
 def test_integer_fields_accept_only_canonical_decimals(tmp_path, capsys, field, bad):
     argv = _non_canonical_case(tmp_path, field, bad)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def test_out_of_region_char_reports_index():
         unicode_to_tokens("A一")
     with pytest.raises(ValueError, match="index 1"):
         unicode_to_tokens("一A")
+
+
+@pytest.mark.parametrize("text, index", [
+    ("\x00", 0), ("一\u4dff", 1), ("一\ua000", 1), ("一一\U0001f600A", 2), ("\ud800一", 0),
+])
+def test_first_character_outside_the_block_is_reported(text, index):
+    # code points just below, just above and far above the block, and a lone surrogate
+    message = f"character {text[index]!r} at index {index} is outside U+4E00..U+9FFF"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        unicode_to_tokens(text)
 
 
 def test_roundtrip_random_sequences():

@@ -325,3 +325,36 @@ def writes(p, m):
     p.write_text("x")
 """
     assert [line for _, line in _opens_for_writing(ast.parse(source))] == [7, 8, 9, 10, 11, 12]
+
+
+def _unicode_whitespace_calls(tree):
+    """The line of each call in ``tree`` that strips or splits on Unicode whitespace or line
+    breaks: ``strip``, ``lstrip`` or ``rstrip`` without an argument, and ``splitlines``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (node.func.attr == "splitlines"
+                       or node.func.attr in ("strip", "lstrip", "rstrip") and not node.args))
+
+
+def test_text_formats_strip_only_ascii_whitespace():
+    # a text line is stripped of corpus._SPACE only; str.strip() would also take U+00A0 or
+    # U+3000, and str.splitlines() would break lines at U+2028 or 0x1C
+    found = {}
+    for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
+        lines = _unicode_whitespace_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_whitespace_guard_sees_each_unicode_whitespace_call():
+    source = """
+line.strip(" ")
+line.rstrip(chars)
+line.strip()
+line.lstrip()
+line.rstrip()
+text.splitlines()
+text.splitlines(True)
+"""
+    assert _unicode_whitespace_calls(ast.parse(source)) == [4, 5, 6, 7, 8]
