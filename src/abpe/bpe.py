@@ -8,17 +8,21 @@ units contributes floor(m/2) pairs) and never across utterance boundaries.
 Frequency ties go to the lexicographically smallest (left, right) pair.
 The trainer keeps the corpus as one token list with next and previous links
 and -1 around each utterance, so no pair crosses a boundary, and an index
-from each pair to the positions where it starts. A merge of (a, b) visits
-only its pair's positions, in ascending order, and skips one whose left
-token an earlier site of the merge took: the left-to-right rule inside runs.
-A site with no equal neighbour moves five counts by one, (x, a), (a, b) and
-(b, y) down and (x, new) and (new, y) up. A site beside a run (of a on its
-left, of b on its right, or a site of the same merge right after it)
-recounts with ``_count_pairs`` a window from the token before the run of a
-to the token after the run of b, grown over every site that starts inside
-it, so each run is counted whole and once per merge and floor(m/2) stays
-exact. Once a pair exists its count never rises, so a lazy heap of counts
-finds each merge.
+from each pair to the positions where it starts. A merge of (a, b) into u
+visits only its pair's positions, in ascending order, skips stale ones, and
+moves the counts in closed form, with L the token before a site and R the
+token after it (nothing moves beside a boundary). For a != b, each site
+takes (a, b) down by one; on its left (L, a) goes down and (L, u) up, but a
+run of a that ends at the site, p long, loses (a, a) only when p is even,
+and after a site of the same merge (a chain a b a b) (u, a) goes down and
+(u, u) up only when the run of u before the site has odd length; on its
+right (b, R) goes down and (u, R) up, but a run of b, q long, loses (b, b)
+only when q is even. For a == b, a run of m >= 2 units a merges every other
+pair from its start into m//2 units u, and one a stays when m is odd: (a, a)
+goes down by m//2 and (u, u) up by (m//2)//2, (L, a) down and (L, u) up, and
+(u, a) up when m is odd, else (a, R) down and (u, R) up. Each run is walked
+once per merge, so training stays linear. Once a pair exists its count never
+rises, so a lazy heap of counts finds each merge.
 
 Encoding gives the lowest-rank rule of Sennrich et al. 2016: merge the
 lowest-ranked adjacent pair (all its non-overlapping occurrences) until no
@@ -49,7 +53,6 @@ id N+i.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import defaultdict
 
@@ -79,6 +82,15 @@ def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> None:
         else:
             counts[pair] = counts.get(pair, 0) + 1
             last = pair
+
+
+def _run_is_even(tok: list[int], link: list[int], p: int) -> bool:
+    """Whether the run of ``tok[p]`` from ``p`` along ``link`` has even length."""
+    t, even = tok[p], True
+    while tok[p] == t:
+        even = not even
+        p = link[p]
+    return even
 
 
 class BpeModel:
@@ -174,78 +186,59 @@ class BpeModel:
             best = heap[0][1]
             a, b = best
             delta: defaultdict[Pair, int] = defaultdict(int)
-            sites = sorted(where.pop(best))
-            k = 0
-            while k < len(sites):
-                i = sites[k]
-                k += 1
+            odd = False  # the run of new_id that ends at the last merged site has odd length
+            for i in sorted(where.pop(best)):
                 j = nxt[i]
                 if tok[i] != a or tok[j] != b:
-                    continue  # stale, or its left token went to an earlier site
-                x, y = prv[i], nxt[j]
-                if tok[x] != a and tok[y] != b and (tok[y] != a or tok[nxt[y]] != b):
-                    # no equal neighbour and no site right after: five counts move by one
-                    delta[best] -= 1
-                    tok[i] = new_id
-                    tok[j] = -1
-                    nxt[i] = y
-                    prv[y] = i
-                    if tok[x] != -1:
-                        delta[tok[x], a] -= 1
-                        delta[tok[x], new_id] += 1
-                        where[tok[x], new_id].append(x)
-                    if tok[y] != -1:
-                        delta[b, tok[y]] -= 1
-                        delta[new_id, tok[y]] += 1
-                        where[new_id, tok[y]].append(i)
+                    continue  # stale, or (a == b) inside a run an earlier site merged
+                x = prv[i]
+                left = tok[x]
+                if left != -1:
+                    where[left, new_id].append(x)
+                if a == b:  # the first site of a run: merge every other pair from it
+                    n = 0
+                    while tok[i] == a and tok[j] == a:
+                        y = nxt[j]
+                        tok[i] = new_id
+                        tok[j] = -1
+                        nxt[i] = y
+                        prv[y] = i
+                        if n:
+                            where[new_id, new_id].append(prv[i])
+                        n += 1
+                        i, j = y, nxt[y]
+                    right = tok[i]  # the odd a, or the token after the run
+                    i = prv[i]  # the last new unit
+                    delta[best] -= n
+                    delta[new_id, new_id] += n // 2
+                    if left != -1:
+                        delta[left, a] -= 1
+                        delta[left, new_id] += 1
+                    if right != -1:
+                        delta[a, right] -= right != a  # the odd a keeps its pair
+                        delta[new_id, right] += 1
+                        where[new_id, right].append(i)
                     continue
-                # runs: recount the window from the token before the run of a left
-                # of the site to the token after the run of b right of the last site
-                # it reaches, so each run is counted whole and once
-                before = []
-                while tok[x] == a:
-                    before.append(a)
-                    x = prv[x]
-                if tok[x] != -1:
-                    before.append(tok[x])
-                before.reverse()
-                after = before[:]
-                old_add, new_add = before.append, after.append
-                runs = []  # positions of (new_id, new_id)
-                p = i
-                while True:  # merge left to right, indexing each pair made
-                    t = tok[p]
-                    q = nxt[p]
-                    if t == a and tok[q] == b:
-                        before += best
-                        new_add(new_id)
-                        tok[p] = new_id
-                        tok[q] = -1
-                        q = nxt[p] = nxt[q]
-                        prv[q] = p
-                        x = prv[p]
-                        if tok[x] == new_id:
-                            runs.append(x)
-                        elif tok[x] != -1:
-                            where[tok[x], new_id].append(x)
-                    elif t == -1:
-                        break
-                    else:
-                        old_add(t)
-                        new_add(t)
-                        if tok[prv[p]] == new_id:
-                            where[new_id, t].append(prv[p])
-                        if t != b:
-                            break  # the token after the run of b
-                    p = q
-                if runs:
-                    where[new_id, new_id] += runs
-                k = bisect.bisect_right(sites, p, k)  # past every site in the window
-                old: dict[Pair, int] = {}
-                _count_pairs(before, old)
-                _count_pairs(after, delta)
-                for pair, n in old.items():
-                    delta[pair] -= n
+                y = nxt[j]
+                right = tok[y]
+                delta[best] -= 1
+                if left == new_id:  # a chain a b a b: the site before made left
+                    delta[new_id, a] -= 1
+                    delta[new_id, new_id] += odd
+                    odd = not odd
+                else:
+                    odd = True
+                    if left != -1:  # a run of a ending here, p long, holds p // 2 (a, a)
+                        delta[left, a] -= 1 if left != a else _run_is_even(tok, prv, i)
+                        delta[left, new_id] += 1
+                if right != -1:
+                    delta[b, right] -= 1 if right != b else _run_is_even(tok, nxt, j)
+                    delta[new_id, right] += 1
+                    where[new_id, right].append(i)
+                tok[i] = new_id
+                tok[j] = -1
+                nxt[i] = y
+                prv[y] = i
             for pair, d in delta.items():
                 if d:
                     n = counts.pop(pair, 0) + d

@@ -9,6 +9,7 @@ requires an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -205,7 +206,9 @@ def _read_manifest(path: str):
 
     def parse(line: str, lineno: int):
         cells = line.split("\t")
-        if lineno == 1 and cells[0] == "case_id":
+        if cells[0] == "case_id":
+            if lineno != 1:
+                raise FormatError("header allowed on line 1 only")
             return None
         if len(cells) not in (3, 4):
             raise FormatError("expected 3 or 4 tab-separated columns")
@@ -383,6 +386,7 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abpe",
@@ -395,16 +399,14 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in (*options, "--out"):
             flag, kwargs = (option, _SHARED[option]) if isinstance(option, str) else option
             p.add_argument(flag, **kwargs)
-        # by name, so a handler replaced on the module after import is the one bound
-        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # looked up by name on each call, so a handler replaced on the module is the one run
+        globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

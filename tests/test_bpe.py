@@ -224,7 +224,15 @@ def test_merge_that_makes_a_run_counts_the_run_non_overlapping():
     ([[0, 1, 0, 1, 0, 1]] * 2, (0, 1)),  # adjacent sites merge into a run
     ([[0, 0, 1, 0, 0, 1]] * 2 + [[0, 1]], (0, 1)),  # sites between runs of a
     ([[2, 0, 0, 0, 0, 0, 1, 1, 1, 2, 0, 1, 0, 1, 1]] * 2, (0, 1)),
-], ids=["aaab", "baaa", "ababab", "aabaab", "mixed"])
+    ([[0, 0, 1]] * 2 + [[0, 1]], (0, 1)),  # an even run of a left of the site
+    ([[0, 1, 1]] * 2 + [[0, 1]], (0, 1)),  # an even run of b right of the site
+    ([[0, 1, 0, 1]] * 2, (0, 1)),  # a chain of 2 sites
+    ([[0, 1] * 4] * 2, (0, 1)),  # a chain of 4 sites
+    ([[2, 0, 0, 0, 0, 2]] * 2, (0, 0)),  # an even run of (a, a) between neighbours
+    ([[2, 0, 0, 0, 0, 0, 2]] * 2, (0, 0)),  # an odd run of (a, a) between neighbours
+    ([[0, 0, 0]] * 2, (0, 0)),  # a run that fills its utterance
+], ids=["aaab", "baaa", "ababab", "aabaab", "mixed", "aab", "abb", "abab", "abababab",
+        "caaaac", "caaaaac", "aaa"])
 def test_sites_beside_runs_match_oracle(utts, first):
     corpus = Corpus(utts, 3)
     merges = BpeModel.train(corpus, 20).merges
@@ -233,8 +241,8 @@ def test_sites_beside_runs_match_oracle(utts, first):
 
 
 def test_long_runs_match_oracle():
-    # a run of 5000 and a chain of 2000 sites: each merge takes every site of a
-    # run or a chain in one window, so training stays linear
+    # a run of 5000 and a chain of 2000 sites: each merge walks each run once,
+    # so training stays linear
     corpus = Corpus([[0] * 5000 + [1, 0] * 2000], 2)
     assert BpeModel.train(corpus, 40).merges == bpe_train_merges(corpus, 40)
 

@@ -669,6 +669,24 @@ def test_rescore_topx_runs_to_the_smallest_case(tmp_path, capsys):
     assert topx == ["topx x=1 accuracy=0.5", "topx x=2 accuracy=1.0"]
 
 
+def test_manifest_header_allowed_on_line_1_only(tmp_path, capsys):
+    argv = _rescore_inputs(tmp_path, [  # a blank line, then the header
+        (), ("case_id", "candidate_id", "token_file_path", "human_rank"), ("q", "a", "a.tok", "1"),
+    ])
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {argv[-1]}:2: header allowed on line 1 only\n"
+
+
+def test_handler_patched_after_a_call_is_the_one_run(tmp_path, capsys, monkeypatch):
+    # the parser is built once; the handler is looked up by name on each call
+    argv = _rescore_inputs(tmp_path, [("q", "a", "a.tok", "1"), ("q", "b", "b.tok", "2")])
+    assert run_cli(*argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_score", seen.append)
+    assert run_cli("score", "--model", argv[2], "--in", tmp_path / "c.tok") == 0
+    assert [args.command for args in seen] == ["score"]
+
+
 def _no_memory(args):
     raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627777,)")
 
