@@ -58,8 +58,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _parse_id,
-                     _parse_ids, _read_lines, _read_records, _save, _split)
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _check_size, _id_stream,
+                     _parse_id, _parse_ids, _read_lines, _read_records, _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -69,6 +69,7 @@ Pair = tuple[int, int]
 
 
 def _check_base_size(base_size: int) -> None:
+    _check_size(base_size, "base_size")
     if not 1 <= base_size <= MAX_BASE_SIZE:
         raise ValueError(f"base_size must be in [1, {MAX_BASE_SIZE}]")
 
@@ -279,13 +280,14 @@ class BpeModel:
         first bad id of the first utterance that holds one.
         """
         utterances = corpus.utterances if isinstance(corpus, Corpus) else corpus
-        return Corpus(_blockwise(self._encode_block, utterances), self.vocab_size)
+        return Corpus(_blockwise(self._encode_block, utterances, self.base_size,
+                                 "id {id} at position {pos} is outside the base alphabet"),
+                      self.vocab_size)
 
-    def _encode_block(self, utterances: list[TokenSequence], first: int) -> list[TokenSequence]:
-        """Encode utterances ``first``, ``first + 1``, ... of a corpus in one stream."""
+    def _encode_block(self, utterances: list[TokenSequence]) -> list[TokenSequence]:
+        """Encode checked utterances of base ids in one stream."""
         sep = self.vocab_size
-        message = "id {id} at position {pos} is outside the base alphabet"
-        t = _id_stream(utterances, self.base_size, message, [sep], [sep], first)
+        t = _id_stream(utterances, [sep], [sep])
         out: list[TokenSequence] = [[] for _ in utterances]
         active = np.arange(len(utterances))  # the utterances still in the stream
         none = len(self.merges)
@@ -325,8 +327,8 @@ class BpeModel:
         return Corpus([self.decode(u) for u in corpus.utterances], self.base_size)
 
     def dumps(self) -> str:
-        lines = [f"#abpe {MERGES_VERSION}", f"#base {self.base_size}"]
-        lines.extend("%d %d" % pair for pair in self.merges)  # a bool operand writes as 0 or 1
+        lines = [f"#abpe {MERGES_VERSION}", "#base %d" % self.base_size]
+        lines.extend("%d %d" % pair for pair in self.merges)  # a bool writes as 0 or 1
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -337,8 +339,7 @@ class BpeModel:
         lines = _read_lines(path)
         if len(lines) < 2 or not lines[0].startswith("#abpe"):
             raise FormatError(f"{path}: missing '#abpe' header")
-        parts = _split(lines[0])
-        if len(parts) != 2 or parts[1] != str(MERGES_VERSION):
+        if _split(lines[0]) != ["#abpe", str(MERGES_VERSION)]:
             raise FormatError(f"{path}: unsupported merges version {lines[0]!r}")
         base_parts = _split(lines[1])
         if len(base_parts) != 2 or base_parts[0] != "#base":

@@ -246,8 +246,12 @@ def _cmd_rescore(args) -> None:
     for case_id, rows in _read_manifest(args.manifest):
         cand_ids, paths, ranks = zip(*rows)
         ranks = None if None in ranks else list(ranks)
-        cand_set = CandidateSet([_load_candidate(p) for p in paths], ranks)
-        result = rescore(model, cand_set, length_norm=args.length_norm, bpe=bpe)
+        candidates = [_load_candidate(p) for p in paths]  # a FormatError names its path
+        try:
+            result = rescore(model, CandidateSet(candidates, ranks),
+                             length_norm=args.length_norm, bpe=bpe)
+        except ValueError as exc:
+            raise ValueError(f"case {case_id}: {exc}") from None
         results.append(result)
         rank_sets.append(ranks)
         out_lines.append(

@@ -17,9 +17,10 @@ On-disk formats handled here:
   ``_``. ``load_features`` sniffs the magic bytes to pick the parser.
 
 Two rules of the package live here. An id is an ``int`` or a numpy integer
-in ``[0, limit)``: ``_check_ids`` checks it and raises ``IdRangeError``, and
-``_id_stream`` is its vectorised fast path. ``_save`` writes every artifact
-file, whole or not at all.
+in ``[0, limit)``: ``_check_ids`` is the one check of it and raises
+``IdRangeError``; each public call checks its ids once, and ``_id_stream``
+takes only checked ids. ``_save`` writes every artifact file, whole or not
+at all.
 
 Loaders depend only on file bytes and ``synth_corpus`` only on its spec,
 so repeated calls give identical results.
@@ -27,6 +28,7 @@ so repeated calls give identical results.
 
 from __future__ import annotations
 
+import operator
 import os
 import shutil
 import struct
@@ -55,6 +57,7 @@ class Corpus:
     vocab_size: int
 
     def __post_init__(self) -> None:
+        _check_size(self.vocab_size, "vocab_size")
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         _check_ids(self.utterances, self.vocab_size,
@@ -65,6 +68,15 @@ class Corpus:
 
     def total_tokens(self) -> int:
         return sum(len(u) for u in self.utterances)
+
+
+def _check_size(value, name: str) -> None:
+    """``ValueError`` unless ``value`` is an integer that ``operator.index`` takes: an ``int``,
+    a ``bool`` or a numpy integer, which files write with ``%d``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class IdRangeError(ValueError):
@@ -88,40 +100,33 @@ def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
                                    first + i)
 
 
-def _id_stream(seqs, limit: int, message: str, head: list[int], mark: list[int],
-               first: int) -> np.ndarray:
-    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` once ``seqs`` passes
-    ``_check_ids`` (ids of ``head`` and ``mark`` must read >= limit as uint64), else its
-    ``IdRangeError``, the ``index`` counted from ``first``."""
+def _id_stream(seqs, head: list[int], mark: list[int]) -> np.ndarray:
+    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` of ``seqs`` that passed
+    ``_check_ids``."""
     stream = list(head)
     for seq in seqs:
         stream.extend(seq)
         stream.extend(mark)
-    # the type test of ``_check_ids``, in C: numpy would also read a numpy bool or a
-    # 0-d array as an int64
-    if all(issubclass(tp, (int, np.integer)) for tp in set(map(type, stream))):
-        t = np.array(stream)  # int64 unless some id is outside int64
-        expected = len(head) + len(seqs) * len(mark)
-        if t.dtype == np.int64 and np.count_nonzero(t.view(np.uint64) >= limit) == expected:
-            return t
-    _check_ids(seqs, limit, message, first)
-    return np.array(stream).astype(np.int64)  # valid ids of another dtype, such as np.uint64
+    return np.array(stream, dtype=np.int64)
 
 
-def _blockwise(fn, seqs) -> list:
-    """``fn(block, first)`` on consecutive blocks of whole ``seqs`` of up to ``_BLOCK_TOKENS``
-    ids (one longer sequence is a block of its own), ``first`` being the index of the block's
-    first sequence; ``fn`` returns one item per sequence, and the items are concatenated."""
+def _blockwise(fn, seqs, limit: int, message: str) -> list:
+    """``fn(block)`` on consecutive blocks of whole ``seqs`` of up to ``_BLOCK_TOKENS`` ids (one
+    longer sequence is a block of its own), each block first passing ``_check_ids`` with
+    ``limit`` and ``message``, its ``index`` counted over all of ``seqs``; ``fn`` returns one
+    item per sequence, and the items are concatenated."""
     out: list = []
     block: list = []
     size = 0
     for seq in seqs:
         if block and size + len(seq) > _BLOCK_TOKENS:
-            out += fn(block, len(out))
+            _check_ids(block, limit, message, len(out))
+            out += fn(block)
             block, size = [], 0
         block.append(seq)
         size += len(seq)
-    return out + fn(block, len(out))
+    _check_ids(block, limit, message, len(out))
+    return out + fn(block)
 
 
 _SPACE = " \t\n\r\v\f"  # the ASCII whitespace that ``bytes.split`` splits on
@@ -221,7 +226,7 @@ def dump_tokens(corpus: Corpus) -> str:
     """Serialize a corpus to token-file text (always with a vocab header)."""
     if not corpus.utterances:
         raise ValueError("corpus has no utterances; nothing to serialize")
-    pieces = [f"{TOKEN_HEADER_PREFIX} {corpus.vocab_size}\n"]
+    pieces = [f"{TOKEN_HEADER_PREFIX} %d\n" % corpus.vocab_size]
     for i, utt in enumerate(corpus.utterances):
         if not utt:
             raise ValueError(f"utterance {i} is empty; empty sequences are unserializable")

@@ -80,14 +80,12 @@ class _Order(NamedTuple):
     unseen: np.ndarray  # weight * add-k estimate of an unseen event, per context
 
 
-def _windows(seqs: list[TokenSequence], vocab_size: int, order: int,
-             first: int = 0) -> np.ndarray:
-    """The int64 windows of each id and end event of ``seqs``, read from one stream with
-    ``order - 1`` begin markers before each sequence: row 0 holds the event and row
-    d < order the symbol d before it, shifted by one (0 for a begin marker). A bad id
-    raises ``IdRangeError`` with its sequence's index counted from ``first``."""
+def _windows(seqs: list[TokenSequence], vocab_size: int, order: int) -> np.ndarray:
+    """The int64 windows of each id and end event of checked ``seqs``, read from one stream
+    with ``order - 1`` begin markers before each sequence: row 0 holds the event and row
+    d < order the symbol d before it, shifted by one (0 for a begin marker)."""
     pad = [BOS] * (order - 1)
-    shifted = _id_stream(seqs, vocab_size, _OUT_OF_VOCAB, pad, [vocab_size] + pad, first) + 1
+    shifted = _id_stream(seqs, pad, [vocab_size] + pad) + 1
     at = shifted.nonzero()[0]  # the events: all but the begin markers
     windows = shifted[at - np.arange(len(pad) + 1)[:, None]]
     np.subtract(windows[0], 1, out=windows[0])  # in place; ``-=`` would copy the row back
@@ -236,6 +234,7 @@ class NgramModel:
         if total > 0:  # otherwise the constructor rejects the weights as given
             weights = tuple(w / total for w in weights)
         vocab = corpus.vocab_size
+        _check_ids(corpus.utterances, vocab, _OUT_OF_VOCAB)
         windows = _windows(corpus.utterances, vocab, order)[::-1].T.astype(">u8", order="C")
         # as big-endian bytes, the windows sort as their (context, event) keys do
         keys, counts = np.unique(windows.view(f"V{8 * windows.shape[1]}"), return_counts=True)
@@ -246,10 +245,10 @@ class NgramModel:
         """Natural-log probability of each sequence, its end event included; an id
         outside the vocabulary raises ``IdRangeError`` naming its sequence. Sequences
         are scored in blocks of whole sequences, so memory does not grow with ``seqs``."""
-        return _blockwise(self._block_logprobs, seqs)
+        return _blockwise(self._block_logprobs, seqs, self.vocab_size, _OUT_OF_VOCAB)
 
-    def _block_logprobs(self, seqs: list[TokenSequence], first: int) -> list[float]:
-        windows = _windows(seqs, self.vocab_size, self.order, first)
+    def _block_logprobs(self, seqs: list[TokenSequence]) -> list[float]:
+        windows = _windows(seqs, self.vocab_size, self.order)
         v1 = self.vocab_size + 1
         ids = scaled = 0  # per event, its context's id at this order, and that times V+1
         probs = 0.0

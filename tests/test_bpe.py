@@ -336,6 +336,7 @@ class TestMergesFile:
 
     @pytest.mark.parametrize("header, message", [
         ("#abpe\u30001\n#base 2", "unsupported merges version"),
+        ("#abpeXYZ 1\n#base 2", "unsupported merges version"),
         ("#abpe 1\n#base\x1c2", "missing '#base <N>' line"),
     ])
     def test_merges_headers_split_on_ascii_whitespace_only(self, tmp_path, header, message):

@@ -669,6 +669,23 @@ def test_rescore_topx_runs_to_the_smallest_case(tmp_path, capsys):
     assert topx == ["topx x=1 accuracy=0.5", "topx x=2 accuracy=1.0"]
 
 
+@pytest.mark.parametrize("last_case, message", [
+    ([("q3", "a", "a.tok", "1")], "need at least 2 candidates, got 1"),
+    ([("q3", "a", "a.tok", "1"), ("q3", "b", "b.tok", "3")],
+     "human_ranks must be a permutation of 1..2"),
+    ([("q3", "a", "a.tok", "1"), ("q3", "d", "d.tok", "2")],
+     "candidate 1: id 5 at position 1 out of vocabulary"),
+], ids=["one candidate", "ranks", "id"])
+def test_rescore_error_names_its_case(tmp_path, capsys, last_case, message):
+    argv = _rescore_inputs(tmp_path, [
+        ("q1", "a", "a.tok", "1"), ("q1", "b", "b.tok", "2"),
+        ("q2", "b", "b.tok", "1"), ("q2", "c", "c.tok", "2"), *last_case,
+    ])
+    save_tokens(Corpus([[0, 5]], 6), str(tmp_path / "d.tok"))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: case q3: {message}\n"
+
+
 def test_manifest_header_allowed_on_line_1_only(tmp_path, capsys):
     argv = _rescore_inputs(tmp_path, [  # a blank line, then the header
         (), ("case_id", "candidate_id", "token_file_path", "human_rank"), ("q", "a", "a.tok", "1"),

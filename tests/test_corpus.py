@@ -310,6 +310,47 @@ def test_only_corpus_save_opens_files_for_writing():
     assert writers == {"corpus.py": ["_save"]}
 
 
+def _id_rule_functions(tree):
+    """The name of each function in ``tree`` that names ``np.integer`` or calls ``IdRangeError``,
+    the two marks of an implementation of the id rule."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "integer"
+                and getattr(node.value, "id", None) == "np"
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "IdRangeError"):
+            found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_the_id_rule_has_one_implementation():
+    # one check, _check_ids, tests the type and range of every id; the streams take checked ids
+    sites = {}
+    for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
+        found = _id_rule_functions(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            sites[path.name] = found
+    assert sites == {"corpus.py": ["_check_ids"]}
+
+
+def test_id_rule_guard_sees_each_mark():
+    source = """
+def types(t):
+    return isinstance(t, (int, np.integer))
+def raises(t):
+    raise IdRangeError(f"id {t}", 0)
+def neither(t):
+    return np.int64(t), IdRangeError
+"""
+    assert _id_rule_functions(ast.parse(source)) == ["raises", "types"]
+
+
 def test_writer_guard_sees_each_way_to_open_for_writing():
     source = """
 def reads(p):

@@ -14,6 +14,7 @@ from abpe import (
     KMeansModel,
     NgramModel,
     cross_entropy,
+    dump_tokens,
     load_tokens,
     rescore,
     save_tokens,
@@ -274,6 +275,30 @@ def test_merge_operands_follow_the_id_rule(operand):
 def test_merge_operands_of_any_integer_type_write_as_decimals():
     model = BpeModel(3, [(np.int64(0), np.int32(1)), (3, True)])
     assert model.dumps() == "#abpe 1\n#base 3\n0 1\n3 1\n"
+
+
+@pytest.mark.parametrize("size", [2.0, np.float64(2.0), "2"], ids=["float", "np.float64", "str"])
+def test_sizes_must_be_integers(size):
+    with pytest.raises(ValueError, match=r"^vocab_size must be an integer, got "):
+        Corpus([[0]], size)
+    with pytest.raises(ValueError, match=r"^base_size must be an integer, got "):
+        BpeModel(size, [])
+
+
+def test_sizes_of_any_integer_type_write_as_decimals():
+    assert dump_tokens(Corpus([[0]], True)) == "#vocab 1\n0\n"
+    assert BpeModel(np.int64(2), []).dumps() == "#abpe 1\n#base 2\n"
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one block", "blocks of 2 ids"])
+def test_batched_sites_take_iterators_as_lists(monkeypatch, block):
+    from abpe import corpus as corpus_module
+
+    if block:
+        monkeypatch.setattr(corpus_module, "_BLOCK_TOKENS", block)
+    seqs = [[0, 1, 2], [], [2, 2, 0, 1], [1]]
+    assert _LM.logprobs(iter(seqs)) == _LM.logprobs(seqs)
+    assert _BPE.encode_corpus(s for s in seqs) == _BPE.encode_corpus(seqs)
 
 
 def test_check_ids_names_the_first_bad_id():
