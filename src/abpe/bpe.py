@@ -68,10 +68,11 @@ MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
 Pair = tuple[int, int]
 
 
-def _check_base_size(base_size: int) -> None:
-    _check_size(base_size, "base_size")
-    if not 1 <= base_size <= MAX_BASE_SIZE:
+def _check_base_size(base_size: int) -> int:
+    size = _check_size(base_size, "base_size")
+    if not 1 <= size <= MAX_BASE_SIZE:
         raise ValueError(f"base_size must be in [1, {MAX_BASE_SIZE}]")
+    return size
 
 
 def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> None:
@@ -103,7 +104,7 @@ class BpeModel:
     """
 
     def __init__(self, base_size: int, merges: list[Pair]):
-        _check_base_size(base_size)
+        base_size = _check_base_size(base_size)
         ranks: dict[Pair, int] = {}
         for i, (a, b) in enumerate(merges):
             _check_ids([(a, b)], base_size + i,
@@ -153,6 +154,7 @@ class BpeModel:
         if not corpus.utterances:
             raise ValueError("cannot train on an empty corpus")
         base = corpus.vocab_size
+        vocab_size = _check_size(vocab_size, "vocab_size")
         if vocab_size < base:
             raise ValueError(
                 f"vocab_size {vocab_size} is below the base alphabet size {base}"

@@ -306,15 +306,18 @@ def _cmd_metrics_xent(args) -> None:
     _emit_metric("metrics-xent", asdict(report), args.out)
 
 
-def _int_option(text: str) -> int:
-    """An integer option, in the grammar of every integer field in the formats."""
-    try:
-        return _parse_id(text)
-    except FormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(parse):
+    """The type of an option that ``parse`` reads, as it reads the same field in the formats."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
-_INT = {"type": _int_option}
+_INT = {"type": _option(_parse_id)}
+_FLOAT = {"type": _option(_parse_float)}
 _REQUIRED_INT = {**_INT, "required": True}
 _LO_HI = {**_INT, "nargs": 2, "metavar": ("LO", "HI")}
 
@@ -335,8 +338,8 @@ _SUBCOMMANDS = (
         ("--len", {**_LO_HI, "default": (30, 60)}),
         ("--motifs", {**_INT, "default": 0}),
         ("--motif-len", {**_LO_HI, "default": (3, 6)}),
-        ("--motif-rate", {"type": float, "default": 0.0}),
-        ("--zipf", {"type": float, "default": 1.3}),
+        ("--motif-rate", {**_FLOAT, "default": 0.0}),
+        ("--zipf", {**_FLOAT, "default": 1.3}),
         "--seed",
     )),
     ("kmeans-fit", "fit k-means centroids to features", (
@@ -344,7 +347,7 @@ _SUBCOMMANDS = (
         ("--k", _REQUIRED_INT),
         "--seed",
         ("--max-iters", {**_INT, "default": 100}),
-        ("--tol", {"type": float, "default": 1e-6}),
+        ("--tol", {**_FLOAT, "default": 1e-6}),
         ("--sample-rows", {**_INT, "default": None,
                            "help": "fit on a seeded without-replacement row subset of this size"}),
     )),
@@ -361,7 +364,7 @@ _SUBCOMMANDS = (
     ("slm-train", "train the n-gram sequence model", (
         "--in",
         ("--order", {**_INT, "default": 4}),
-        ("--add-k", {"type": float, "default": 0.1}),
+        ("--add-k", {**_FLOAT, "default": 0.1}),
         ("--weights", {"default": None, "help": "comma-separated, one per order"}),
     )),
     ("score", "log-probability of each utterance", ("--model", "--in")),
@@ -370,7 +373,7 @@ _SUBCOMMANDS = (
         ("--prompt", {"required": True, "help": "space-separated ids; may be empty"}),
         ("--max-new", _REQUIRED_INT),
         "--seed",
-        ("--temperature", {"type": float, "default": 1.0}),
+        ("--temperature", {**_FLOAT, "default": 1.0}),
         ("--top-k", {**_INT, "default": None}),
         ("--num", {**_INT, "default": 1, "help": "continuations (seeds seed..seed+num-1)"}),
     )),

@@ -16,11 +16,13 @@ On-disk formats handled here:
   column count, each value a decimal ``float`` reads, in ASCII and without
   ``_``. ``load_features`` sniffs the magic bytes to pick the parser.
 
-Two rules of the package live here. An id is an ``int`` or a numpy integer
+Three rules of the package live here. An id is an ``int`` or a numpy integer
 in ``[0, limit)``: ``_check_ids`` is the one check of it and raises
 ``IdRangeError``; each public call checks its ids once, and ``_id_stream``
-takes only checked ids. ``_save`` writes every artifact file, whole or not
-at all.
+takes only checked ids. An integer parameter (a size, an order, a count) is
+an ``int``, a ``bool`` or a numpy integer, at least its minimum if it has
+one: ``_check_size`` is the one check of it and returns it as an ``int``.
+``_save`` writes every artifact file, whole or not at all.
 
 Loaders depend only on file bytes and ``synth_corpus`` only on its spec,
 so repeated calls give identical results.
@@ -57,10 +59,7 @@ class Corpus:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        _check_size(self.vocab_size, "vocab_size")
-        if self.vocab_size < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        _check_ids(self.utterances, self.vocab_size,
+        _check_ids(self.utterances, _check_size(self.vocab_size, "vocab_size", 1),
                    "utterance {index}: id {id} outside [0, {limit})")
 
     def __len__(self) -> int:
@@ -70,13 +69,17 @@ class Corpus:
         return sum(len(u) for u in self.utterances)
 
 
-def _check_size(value, name: str) -> None:
-    """``ValueError`` unless ``value`` is an integer that ``operator.index`` takes: an ``int``,
-    a ``bool`` or a numpy integer, which files write with ``%d``."""
+def _check_size(value, name: str, low: int | None = None) -> int:
+    """The one check of an integer parameter: ``operator.index(value)``, a plain ``int``, if
+    ``value`` is an ``int``, a ``bool`` or a numpy integer (which files write with ``%d``) and
+    is at least ``low`` when that is given; otherwise a ``ValueError`` naming ``name``."""
     try:
-        operator.index(value)
+        size = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and size < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return size
 
 
 class IdRangeError(ValueError):
@@ -371,22 +374,17 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.n_utts < 1:
-            raise ValueError("n_utts must be >= 1")
-        lo, hi = self.len_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"invalid len_range {self.len_range}")
-        mlo, mhi = self.motif_len_range
-        if not 1 <= mlo <= mhi:
-            raise ValueError(f"invalid motif_len_range {self.motif_len_range}")
+        _check_size(self.vocab_size, "vocab_size", 2)
+        _check_size(self.n_utts, "n_utts", 1)
+        _check_size(self.motif_count, "motif_count", 0)
+        for name in ("len_range", "motif_len_range"):
+            lo, hi = getattr(self, name)
+            if _check_size(lo, f"{name}[0]", 1) > _check_size(hi, f"{name}[1]", 1):
+                raise ValueError(f"invalid {name} {getattr(self, name)}")
         if not 0.0 <= self.motif_rate <= 1.0:
             raise ValueError("motif_rate must be in [0, 1]")
         if self.motif_rate > 0.0 and self.motif_count < 1:
             raise ValueError("motif_rate > 0 requires at least one motif")
-        if self.motif_count < 0:
-            raise ValueError("motif_count must be >= 0")
         if not self.zipf_exponent >= 0.0:
             raise ValueError("zipf_exponent must be >= 0")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _check_matrix, _pack_matrix, _save, _unpack_matrix
+from .corpus import _check_matrix, _check_size, _pack_matrix, _save, _unpack_matrix
 
 KMEANS_MAGIC = b"ABPEKMNS"
 KMEANS_VERSION = 1
@@ -194,12 +194,10 @@ class KMeansModel:
         ``max_iters`` is reached. Deterministic for a fixed seed.
         """
         x = _as_features(features)
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _check_size(k, "k", 1)
         if x.shape[0] < k:
             raise ValueError(f"need at least k={k} rows, got {x.shape[0]}")
-        if max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        max_iters = _check_size(max_iters, "max_iters", 1)
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence
+from .corpus import Corpus, TokenSequence, _check_size
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class CrossEntropyReport:
 
 def compression_stats(base: Corpus, encoded: Corpus, vocab_size: int) -> CompressionReport:
     """Average sequence lengths before/after encoding and their ratio."""
+    vocab_size = _check_size(vocab_size, "vocab_size", 1)
     if len(base) != len(encoded):
         raise ValueError(
             f"utterance count mismatch: {len(base)} base vs {len(encoded)} encoded"
@@ -75,8 +76,7 @@ def shuffle_corrupt(seq: TokenSequence, unit_len: int = 1, *, seed: int) -> Toke
     The token multiset is preserved; a single-block sequence comes back
     unchanged. Deterministic per seed.
     """
-    if unit_len < 1:
-        raise ValueError("unit_len must be >= 1")
+    unit_len = _check_size(unit_len, "unit_len", 1)
     if len(seq) < 2:
         raise ValueError("sequence too short to shuffle")
     blocks = [seq[i : i + unit_len] for i in range(0, len(seq), unit_len)]
@@ -93,8 +93,7 @@ def _ngram_counts(seq, n: int) -> Counter:
 
 def auto_bleu(text, n: int) -> float:
     """Fraction of the sequence's n-gram occurrences that repeat within it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_size(n, "n", 1)
     if len(text) < n:
         raise ValueError(f"sequence of length {len(text)} has no {n}-grams")
     counts = _ngram_counts(text, n)
@@ -105,8 +104,7 @@ def auto_bleu(text, n: int) -> float:
 
 def self_bleu(texts, n: int) -> float:
     """Mean clipped n-gram precision of each text against all the others."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_size(n, "n", 1)
     texts = list(texts)
     if len(texts) < 2:
         raise ValueError("need at least 2 texts")

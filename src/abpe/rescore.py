@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bpe import BpeModel
-from .corpus import IdRangeError, TokenSequence
+from .corpus import IdRangeError, TokenSequence, _check_size
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def topx_accuracy(
     results: list[RescoreResult], rank_sets: list[list[int]], x: int
 ) -> float:
     """Fraction of cases whose selected candidate is human-ranked <= x."""
+    x = _check_size(x, "x", 1)
     if len(results) != len(rank_sets):
         raise ValueError(
             f"{len(results)} results vs {len(rank_sets)} rank sets"
@@ -86,7 +87,7 @@ def topx_accuracy(
         n = len(ranks)
         if sorted(ranks) != list(range(1, n + 1)):
             raise ValueError(f"case {case}: ranks are not a permutation of 1..{n}")
-        if not 1 <= x <= n:
+        if x > n:
             raise ValueError(f"case {case}: x={x} outside 1..{n}")
         if not 0 <= result.best_index < n:
             raise ValueError(f"case {case}: best_index out of range")

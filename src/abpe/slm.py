@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _id_stream, _save,
-                     _unpack_header)
+from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _check_size, _id_stream,
+                     _save, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -141,10 +141,8 @@ class NgramModel:
         Every parameter and row is checked here and nowhere else; the lower
         orders are derived as exact marginals of ``rows``.
         """
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        vocab_size = _check_size(vocab_size, "vocab_size", 1)
+        order = _check_size(order, "order", 1)
         if not 0 < add_k < math.inf:
             raise ValueError("add_k must be finite and > 0")
         if len(weights) != order:
@@ -227,6 +225,7 @@ class NgramModel:
         """
         if not corpus.utterances:
             raise ValueError("cannot train on an empty corpus")
+        order = _check_size(order, "order", 1)
         if interpolation_weights is None:
             interpolation_weights = [1.0] * order
         weights = tuple(float(w) for w in interpolation_weights)
@@ -338,12 +337,11 @@ class NgramModel:
         if len(seeds) != len(prompts):
             raise ValueError(f"got {len(seeds)} seeds for {len(prompts)} prompts")
         _check_ids(prompts, self.vocab_size, _OUT_OF_VOCAB)
-        if max_new < 0:
-            raise ValueError("max_new must be >= 0")
+        max_new = _check_size(max_new, "max_new", 0)
         if not temperature >= 0:
             raise ValueError("temperature must be >= 0")
-        if top_k is not None and top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        if top_k is not None:
+            top_k = _check_size(top_k, "top_k", 1)
         outs = [list(p) for p in prompts]
         order1 = self._order1_row()
         with np.errstate(over="ignore"):  # a tiny temperature overflows logits to +-inf

@@ -401,6 +401,24 @@ def test_integer_options_accept_only_canonical_decimals(capsys, option, bad):
     assert f"argument {option}:" in err and repr(bad) in err
 
 
+@pytest.mark.parametrize("bad", ["1_3", "\u0661.\u0663", "x"])
+@pytest.mark.parametrize("sub, option", [
+    ("synth", "--motif-rate"), ("synth", "--zipf"), ("kmeans-fit", "--tol"),
+    ("slm-train", "--add-k"), ("continue", "--temperature"),
+])
+def test_float_options_read_numbers_as_the_formats_do(capsys, sub, option, bad):
+    # the option is converted while parsing, before any input file is opened
+    required = {"synth": ["--vocab", "5", "--utts", "2", "--seed", "1"],
+                "kmeans-fit": ["--in", "f", "--k", "2", "--seed", "1"],
+                "slm-train": ["--in", "c.tok"],
+                "continue": ["--model", "m", "--prompt", "0", "--max-new", "3", "--seed", "1"]}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(sub, *required[sub], option, bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and repr(bad) in err
+
+
 @pytest.mark.parametrize("sub, extra", [
     ("continue", ["--temperature", "nan"]),
     ("synth", ["--zipf", "nan"]),

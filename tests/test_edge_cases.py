@@ -13,14 +13,22 @@ from abpe import (
     FormatError,
     KMeansModel,
     NgramModel,
+    RescoreResult,
+    SynthSpec,
+    auto_bleu,
+    compression_stats,
     cross_entropy,
     dump_tokens,
     load_tokens,
     rescore,
     save_tokens,
+    self_bleu,
+    shuffle_corrupt,
     syntax_accuracy,
     tokens_to_unicode,
+    topx_accuracy,
     unicode_to_tokens,
+    vert,
 )
 from abpe.cli import _read_manifest, main
 from abpe.corpus import IdRangeError, _read_corpus
@@ -283,6 +291,93 @@ def test_sizes_must_be_integers(size):
         Corpus([[0]], size)
     with pytest.raises(ValueError, match=r"^base_size must be an integer, got "):
         BpeModel(size, [])
+
+
+def _synth(**given):
+    spec = dict(vocab_size=2, n_utts=1, len_range=(1, 1), motif_count=0,
+                motif_len_range=(1, 1), motif_rate=0.0, zipf_exponent=1.0, seed=0)
+    return SynthSpec(**{**spec, **given})
+
+
+_ONE_ROW = [(0, 1), (1, 1)]  # an order-1 table for vocab 1: event 0 and the end event once
+
+# every integer parameter: site -> (the name its errors give, its minimum or None, a call)
+_SIZE_SITES = {
+    "Corpus": ("vocab_size", 1, lambda v: Corpus([[0]], v)),
+    "SynthSpec.vocab_size": ("vocab_size", 2, lambda v: _synth(vocab_size=v)),
+    "SynthSpec.n_utts": ("n_utts", 1, lambda v: _synth(n_utts=v)),
+    "SynthSpec.motif_count": ("motif_count", 0, lambda v: _synth(motif_count=v)),
+    "SynthSpec.len_range lo": ("len_range[0]", 1, lambda v: _synth(len_range=(v, 1))),
+    "SynthSpec.len_range hi": ("len_range[1]", 1, lambda v: _synth(len_range=(1, v))),
+    "SynthSpec.motif_len_range lo": ("motif_len_range[0]", 1,
+                                     lambda v: _synth(motif_len_range=(v, 1))),
+    "SynthSpec.motif_len_range hi": ("motif_len_range[1]", 1,
+                                     lambda v: _synth(motif_len_range=(1, v))),
+    "BpeModel": ("base_size", None, lambda v: BpeModel(v, [])),
+    "BpeModel.train": ("vocab_size", None, lambda v: BpeModel.train(Corpus([[0]], 1), v)),
+    "NgramModel.vocab_size": ("vocab_size", 1, lambda v: NgramModel(v, 1, 0.1, (1.0,), _ONE_ROW)),
+    "NgramModel.order": ("order", 1, lambda v: NgramModel(1, v, 0.1, (1.0,), _ONE_ROW)),
+    "NgramModel.train": ("order", 1, lambda v: NgramModel.train(Corpus([[0]], 1), order=v)),
+    "generate.max_new": ("max_new", 0, lambda v: _LM.generate([0], v, seed=0)),
+    "generate_many.max_new": ("max_new", 0, lambda v: _LM.generate_many([[0]], v, seeds=[0])),
+    "generate.top_k": ("top_k", 1, lambda v: _LM.generate([0], 1, seed=0, top_k=v)),
+    "generate_many.top_k": ("top_k", 1,
+                            lambda v: _LM.generate_many([[0]], 1, seeds=[0], top_k=v)),
+    "KMeansModel.fit.k": ("k", 1, lambda v: KMeansModel.fit(np.zeros((2, 1)), v, seed=0)),
+    "KMeansModel.fit.max_iters": ("max_iters", 1, lambda v: KMeansModel.fit(
+        np.zeros((2, 1)), 1, seed=0, max_iters=v)),
+    "shuffle_corrupt": ("unit_len", 1, lambda v: shuffle_corrupt([0, 1], v, seed=0)),
+    "auto_bleu": ("n", 1, lambda v: auto_bleu([0, 1], v)),
+    "self_bleu": ("n", 1, lambda v: self_bleu([[0], [1]], v)),
+    "vert": ("n", 1, lambda v: vert([[0], [1]], v)),
+    "compression_stats": ("vocab_size", 1, lambda v: compression_stats(
+        Corpus([[0]], 1), Corpus([[0]], 1), v)),
+    "topx_accuracy": ("x", 1, lambda v: topx_accuracy([RescoreResult([0.0, 0.0], 0)], [[1, 2]], v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), "2"], ids=["float", "np.float64", "str"])
+@pytest.mark.parametrize("site", list(_SIZE_SITES))
+def test_every_size_site_takes_only_integers(site, bad):
+    name, _, call = _SIZE_SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", [s for s, (_, low, _) in _SIZE_SITES.items() if low is not None])
+def test_every_size_site_rejects_a_size_below_its_minimum(site):
+    name, low, call = _SIZE_SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= {low}, got {low - 1}$"):
+        call(low - 1)
+
+
+@pytest.mark.parametrize("site", list(_SIZE_SITES))
+def test_every_size_site_accepts_numpy_integers_and_bools(site):
+    _, low, call = _SIZE_SITES[site]
+    low = 1 if low is None else low
+    call(np.int64(low))
+    if low <= 1:
+        call(True)
+
+
+def test_ngram_sizes_follow_the_integer_rule():
+    with pytest.raises(ValueError, match=r"^vocab_size must be an integer, got 2\.0$"):
+        NgramModel(2.0, 1, 0.1, (1.0,), _ONE_ROW)
+    with pytest.raises(ValueError, match=r"^order must be an integer, got 1\.0$"):
+        NgramModel(1, 1.0, 0.1, (1.0,), _ONE_ROW)
+    model = NgramModel(np.int64(1), True, 0.1, (1.0,), _ONE_ROW)
+    assert type(model.vocab_size) is int and type(model.order) is int
+    assert model.to_bytes() == NgramModel(1, 1, 0.1, (1.0,), _ONE_ROW).to_bytes()
+    corpus = Corpus([[0, 1, 1], [1]], 2)
+    trained = NgramModel.train(corpus, order=True)
+    assert trained.order == 1 and type(trained.order) is int
+    assert trained.to_bytes() == NgramModel.train(corpus, order=1).to_bytes()
+
+
+@pytest.mark.parametrize("name", ["len_range", "motif_len_range"])
+def test_synth_ranges_keep_their_order_message(name):
+    with pytest.raises(ValueError, match=rf"^invalid {name} \(2, 1\)$"):
+        _synth(**{name: (2, 1)})
 
 
 def test_sizes_of_any_integer_type_write_as_decimals():
