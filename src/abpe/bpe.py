@@ -58,8 +58,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _check_size, _id_stream,
-                     _parse_id, _parse_ids, _read_lines, _read_records, _save, _split)
+from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
+                     _id_stream, _parse_id, _parse_ids, _read_records, _read_text, _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -151,7 +151,7 @@ class BpeModel:
     @classmethod
     def train(cls, corpus: Corpus, vocab_size: int) -> "BpeModel":
         """Learn merges until ``vocab_size`` units exist or pairs run out."""
-        if not corpus.utterances:
+        if not len(corpus):
             raise ValueError("cannot train on an empty corpus")
         base = corpus.vocab_size
         vocab_size = _check_size(vocab_size, "vocab_size")
@@ -281,17 +281,20 @@ class BpeModel:
         An id outside the base alphabet raises ``IdRangeError`` for the
         first bad id of the first utterance that holds one.
         """
-        utterances = corpus.utterances if isinstance(corpus, Corpus) else corpus
-        return Corpus(_blockwise(self._encode_block, utterances, self.base_size,
-                                 "id {id} at position {pos} is outside the base alphabet"),
-                      self.vocab_size)
+        corpus = _as_corpus(corpus, self.base_size,
+                            "id {id} at position {pos} is outside the base alphabet")
+        t = np.concatenate([self._encode_block(*block) for block in _blocks(corpus)]
+                           + [[self.vocab_size]])
+        sep = t == self.vocab_size  # one before each utterance and one after the last
+        at = sep.nonzero()[0]
+        return Corpus._of(t[~sep], at - np.arange(len(at)), self.vocab_size)
 
-    def _encode_block(self, utterances: list[TokenSequence]) -> list[TokenSequence]:
-        """Encode checked utterances of base ids in one stream."""
+    def _encode_block(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Encode checked utterances of base ids in one stream; each returns after a separator."""
         sep = self.vocab_size
-        t = _id_stream(utterances, [sep], [sep])
-        out: list[TokenSequence] = [[] for _ in utterances]
-        active = np.arange(len(utterances))  # the utterances still in the stream
+        t = _id_stream(ids, offsets, [sep], [sep])
+        finished, owners = [t[:0]], [t[:0]]  # each finished utterance's separator and units
+        active = np.arange(len(offsets) - 1)  # the utterances still in the stream
         none = len(self.merges)
         at = (t == sep).nonzero()[0]
         while len(active):
@@ -305,12 +308,10 @@ class BpeModel:
             done = lowest == none
             keep = np.ones(len(t), dtype=bool)
             if np.count_nonzero(done):
-                tokens = t[:-1][done.repeat(span)].tolist()
-                pos = 0
-                for i, n in zip(active[done].tolist(), span[done].tolist()):
-                    out[i] = tokens[pos + 1 : pos + n]
-                    pos += n
-                keep[:-1] = (~done).repeat(span)
+                leaving = done.repeat(span)
+                finished.append(t[:-1][leaving])
+                owners.append(active[done].repeat(span[done]))
+                keep[:-1] = ~leaving
                 active = active[~done]
                 lowest[done] = -1  # picks no site
             site = (self._sealed[rank] | (rank == lowest.repeat(span))).nonzero()[0]
@@ -323,7 +324,8 @@ class BpeModel:
             keep[site + 1] = False
             t = t[keep]
             at = (t == sep).nonzero()[0]
-        return out
+        # in utterance order: a stable sort keeps each utterance's units in theirs
+        return np.concatenate(finished)[np.concatenate(owners).argsort(kind="stable")]
 
     def decode_corpus(self, corpus: Corpus) -> Corpus:
         return Corpus([self.decode(u) for u in corpus.utterances], self.base_size)
@@ -338,7 +340,7 @@ class BpeModel:
 
     @classmethod
     def load(cls, path: str) -> "BpeModel":
-        lines = _read_lines(path)
+        lines = _read_text(path).split("\n")
         if len(lines) < 2 or not lines[0].startswith("#abpe"):
             raise FormatError(f"{path}: missing '#abpe' header")
         if _split(lines[0]) != ["#abpe", str(MERGES_VERSION)]:
@@ -351,7 +353,7 @@ class BpeModel:
         except FormatError as exc:
             raise FormatError(f"{path}:2: {exc}") from None
 
-        def parse(line: str, lineno: int) -> Pair:
+        def parse(line: str) -> Pair:
             ids = _parse_ids(line)
             if len(ids) != 2:
                 raise FormatError("expected 'left right'")

@@ -18,17 +18,17 @@ import numpy as np
 
 from . import __version__
 from .bpe import BpeModel, MERGES_VERSION
-from .codec import tokens_to_unicode, unicode_to_tokens
+from .codec import _read_unicode, _unicode_lines
 from .corpus import (
     FEATURE_VERSION,
     Corpus,
     SynthSpec,
+    _check_size,
     _parse_float,
     _parse_id,
     _parse_ids,
-    _read_corpus,
-    _read_lines,
     _read_records,
+    _read_text,
     _save,
     dump_tokens,
     load_features,
@@ -132,24 +132,16 @@ def _cmd_discretize(args) -> None:
     _write(dump_tokens(Corpus([ids], model.k)), args.out)
 
 
-def _unicode_text(corpus: Corpus) -> str:
-    return "".join(tokens_to_unicode(u) + "\n" for u in corpus.utterances)
-
-
 def _cmd_to_unicode(args) -> None:
-    _write(_unicode_text(load_tokens(args.infile)), args.out)
+    _write(_unicode_lines(load_tokens(args.infile)), args.out)
 
 
 def _cmd_from_unicode(args) -> None:
-    corpus = _read_corpus(args.infile, unicode_to_tokens, args.vocab)
-    _write(dump_tokens(corpus), args.out)
+    _write(dump_tokens(_read_unicode(args.infile, args.vocab)), args.out)
 
 
 def _cmd_bpe_train(args) -> None:
-    if args.unicode:
-        corpus = _read_corpus(args.infile, unicode_to_tokens)
-    else:
-        corpus = load_tokens(args.infile)
+    corpus = _read_unicode(args.infile) if args.unicode else load_tokens(args.infile)
     model = BpeModel.train(corpus, args.vocab)
     print(
         f"trained {len(model.merges)} merges over base {model.base_size}",
@@ -161,7 +153,7 @@ def _cmd_bpe_train(args) -> None:
 def _cmd_bpe_encode(args) -> None:
     model = BpeModel.load(args.model)
     if args.unicode:
-        corpus = _read_corpus(args.infile, unicode_to_tokens, model.base_size)
+        corpus = _read_unicode(args.infile, model.base_size)
     else:
         corpus = load_tokens(args.infile)
     _write(dump_tokens(model.encode_corpus(corpus)), args.out)
@@ -170,7 +162,7 @@ def _cmd_bpe_encode(args) -> None:
 def _cmd_bpe_decode(args) -> None:
     model = BpeModel.load(args.model)
     decoded = model.decode_corpus(load_tokens(args.infile))
-    _write(_unicode_text(decoded) if args.unicode else dump_tokens(decoded), args.out)
+    _write(_unicode_lines(decoded) if args.unicode else dump_tokens(decoded), args.out)
 
 
 def _cmd_slm_train(args) -> None:
@@ -187,7 +179,7 @@ def _cmd_slm_train(args) -> None:
 def _cmd_score(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
-    lines = [repr(score) for score in model.logprobs(corpus.utterances)]
+    lines = [repr(score) for score in model.logprobs(corpus)]
     _write("\n".join(lines) + "\n", args.out)
 
 
@@ -204,12 +196,8 @@ def _read_manifest(path: str):
     """Parse the candidate manifest TSV into ordered per-case groups."""
     base = os.path.dirname(os.path.abspath(path))
 
-    def parse(line: str, lineno: int):
+    def parse(line: str):
         cells = line.split("\t")
-        if cells[0] == "case_id":
-            if lineno != 1:
-                raise FormatError("header allowed on line 1 only")
-            return None
         if len(cells) not in (3, 4):
             raise FormatError("expected 3 or 4 tab-separated columns")
         rank: int | None = None
@@ -221,7 +209,9 @@ def _read_manifest(path: str):
         return cells[0], (cells[1], os.path.join(base, cells[2]), rank)
 
     cases: dict[str, list[tuple[str, str, int | None]]] = {}
-    for case_id, candidate in _read_records(_read_lines(path), path, parse):
+    records = _read_records(_read_text(path).split("\n"), path, parse,
+                            header=lambda line: line.split("\t")[0] == "case_id")
+    for case_id, candidate in records:
         cases.setdefault(case_id, []).append(candidate)
     if not cases:
         raise FormatError(f"{path}: empty manifest")
@@ -316,16 +306,19 @@ def _option(parse):
     return read
 
 
-_INT = {"type": _option(_parse_id)}
+def _int(low: int = 0, **kwargs) -> dict:
+    """An integer option of at least ``low``, by ``corpus._check_size``'s rule."""
+    return {"type": _option(lambda text: _check_size(_parse_id(text), "", low)), **kwargs}
+
+
 _FLOAT = {"type": _option(_parse_float)}
-_REQUIRED_INT = {**_INT, "required": True}
-_LO_HI = {**_INT, "nargs": 2, "metavar": ("LO", "HI")}
+_LO_HI = {"nargs": 2, "metavar": ("LO", "HI")}
 
 # options several subcommands share; a bare flag in _SUBCOMMANDS names one
 _SHARED = {
     "--in": {"dest": "infile", "required": True},
     "--model": {"required": True},
-    "--seed": _REQUIRED_INT,
+    "--seed": _int(required=True),
     "--unicode": {"action": "store_true", "help": "input is unicode text"},
     "--out": {},
 }
@@ -333,37 +326,37 @@ _SHARED = {
 # name, help, options in --help order; each also takes --out and runs _cmd_<name>
 _SUBCOMMANDS = (
     ("synth", "generate a synthetic token corpus", (
-        ("--vocab", _REQUIRED_INT),
-        ("--utts", _REQUIRED_INT),
-        ("--len", {**_LO_HI, "default": (30, 60)}),
-        ("--motifs", {**_INT, "default": 0}),
-        ("--motif-len", {**_LO_HI, "default": (3, 6)}),
+        ("--vocab", _int(2, required=True)),
+        ("--utts", _int(1, required=True)),
+        ("--len", _int(1, **_LO_HI, default=(30, 60))),
+        ("--motifs", _int(default=0)),
+        ("--motif-len", _int(1, **_LO_HI, default=(3, 6))),
         ("--motif-rate", {**_FLOAT, "default": 0.0}),
         ("--zipf", {**_FLOAT, "default": 1.3}),
         "--seed",
     )),
     ("kmeans-fit", "fit k-means centroids to features", (
         "--in",
-        ("--k", _REQUIRED_INT),
+        ("--k", _int(1, required=True)),
         "--seed",
-        ("--max-iters", {**_INT, "default": 100}),
+        ("--max-iters", _int(1, default=100)),
         ("--tol", {**_FLOAT, "default": 1e-6}),
-        ("--sample-rows", {**_INT, "default": None,
-                           "help": "fit on a seeded without-replacement row subset of this size"}),
+        ("--sample-rows", _int(1, default=None,
+                              help="fit on a seeded without-replacement row subset of this size")),
     )),
     ("discretize", "map feature rows to centroid ids", ("--model", "--in")),
     ("to-unicode", "token corpus to one-line-per-utterance text", ("--in",)),
     ("from-unicode", "inverse of to-unicode",
-     ("--in", ("--vocab", {**_INT, "default": None}))),
+     ("--in", ("--vocab", _int(1, default=None)))),
     ("bpe-train", "learn a merge list from a corpus",
-     ("--in", ("--vocab", _REQUIRED_INT), "--unicode")),
+     ("--in", ("--vocab", _int(1, required=True)), "--unicode")),
     ("bpe-encode", "apply merges to a base-token corpus", ("--model", "--in", "--unicode")),
     ("bpe-decode", "expand encoded units to base tokens", (
         "--model", "--in", ("--unicode", {"action": "store_true", "help": "emit unicode text"}),
     )),
     ("slm-train", "train the n-gram sequence model", (
         "--in",
-        ("--order", {**_INT, "default": 4}),
+        ("--order", _int(1, default=4)),
         ("--add-k", {**_FLOAT, "default": 0.1}),
         ("--weights", {"default": None, "help": "comma-separated, one per order"}),
     )),
@@ -371,11 +364,11 @@ _SUBCOMMANDS = (
     ("continue", "sample prompted continuations", (
         "--model",
         ("--prompt", {"required": True, "help": "space-separated ids; may be empty"}),
-        ("--max-new", _REQUIRED_INT),
+        ("--max-new", _int(required=True)),
         "--seed",
         ("--temperature", {**_FLOAT, "default": 1.0}),
-        ("--top-k", {**_INT, "default": None}),
-        ("--num", {**_INT, "default": 1, "help": "continuations (seeds seed..seed+num-1)"}),
+        ("--top-k", _int(1, default=None)),
+        ("--num", _int(1, default=1, help="continuations (seeds seed..seed+num-1)")),
     )),
     ("rescore", "pick the best candidate per manifest case", (
         "--model",
@@ -386,9 +379,9 @@ _SUBCOMMANDS = (
     ("metrics-compress", "sequence-length compression report", (
         ("--base", {"required": True}), ("--encoded", {"required": True}),
     )),
-    ("metrics-vert", "n-gram diversity report", ("--in", ("--n", {**_INT, "default": 3}))),
+    ("metrics-vert", "n-gram diversity report", ("--in", ("--n", _int(1, default=3)))),
     ("metrics-syntax", "shuffled-pair discrimination accuracy",
-     ("--model", "--in", ("--block", {**_INT, "default": 1}), "--seed")),
+     ("--model", "--in", ("--block", _int(1, default=1)), "--seed")),
     ("metrics-xent", "cross-entropy of samples under a model", ("--model", "--in")),
 )
 

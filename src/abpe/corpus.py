@@ -5,7 +5,8 @@ On-disk formats handled here:
 * Token file: UTF-8 text, one utterance per line, token ids written
   ``0|[1-9][0-9]*`` in ASCII and separated by spaces. An optional first
   line ``#vocab <N>`` pins the vocabulary size; without it the size
-  defaults to ``1 + max(id)``. Every text format here splits and strips
+  defaults to ``1 + max(id)``. A vocab size is at most ``2**63 - 2``, so
+  ids lie below it. Every text format here splits and strips
   lines on the six ASCII whitespace characters only (space, ``\t``,
   ``\n``, ``\r``, ``\v``, ``\f``); any other character is part of a field.
 * Feature binary: magic ``ABPEFEAT``, u32 LE version (=1), u64 LE row
@@ -16,9 +17,11 @@ On-disk formats handled here:
   column count, each value a decimal ``float`` reads, in ASCII and without
   ``_``. ``load_features`` sniffs the magic bytes to pick the parser.
 
-Three rules of the package live here. An id is an ``int`` or a numpy integer
-in ``[0, limit)``: ``_check_ids`` is the one check of it and raises
-``IdRangeError``; each public call checks its ids once, and ``_id_stream``
+In memory a ``Corpus`` is one read-only int64 array of ids and the offsets
+of its sequences, which every layer reads. Three rules of the package live
+here. An id is an ``int`` or a numpy integer in ``[0, limit)``: ``_check_ids``
+is the one check of it and raises ``IdRangeError``. A ``Corpus`` is checked
+as it is built, and is not checked again below its vocab size; ``_id_stream``
 takes only checked ids. An integer parameter (a size, an order, a count) is
 an ``int``, a ``bool`` or a numpy integer, at least its minimum if it has
 one: ``_check_size`` is the one check of it and returns it as an ``int``.
@@ -34,7 +37,9 @@ import operator
 import os
 import shutil
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -49,36 +54,68 @@ FEATURE_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<8sIQQ")
 _F32_MAX = float(np.finfo(np.float32).max)
 _BLOCK_TOKENS = 16384  # a batched stream holds whole sequences up to this many ids
+_VOCAB_MAX = 2**63 - 2  # so vocab_size + 1, the n-gram stream's shifted end event, fits int64
+_IN_CORPUS = "utterance {index}: id {id} outside [0, {limit})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Corpus:
-    """An ordered list of token sequences under a fixed vocabulary size."""
+    """Token sequences under a fixed vocabulary size, held as one read-only int64 array ``ids``
+    and read-only ``offsets``: sequence i is ``ids[offsets[i]:offsets[i + 1]]``. The ids are
+    checked once, as the corpus is built, so each lies in ``[0, vocab_size)``."""
 
-    utterances: list[TokenSequence]
+    ids: np.ndarray
+    offsets: np.ndarray
     vocab_size: int
 
-    def __post_init__(self) -> None:
-        _check_ids(self.utterances, _check_size(self.vocab_size, "vocab_size", 1),
-                   "utterance {index}: id {id} outside [0, {limit})")
+    def __init__(self, utterances, vocab_size: int):
+        vocab_size = _check_size(vocab_size, "vocab_size", 1, _VOCAB_MAX)
+        corpus = _as_corpus(utterances, vocab_size, _IN_CORPUS)
+        self.__dict__.update(vars(corpus), vocab_size=vocab_size)
+
+    @classmethod
+    def _of(cls, ids: np.ndarray, offsets: np.ndarray, vocab_size: int) -> "Corpus":
+        """The corpus of int64 ``ids``, already in ``[0, vocab_size)``, and their ``offsets``."""
+        corpus = object.__new__(cls)
+        ids.setflags(write=False)
+        offsets.setflags(write=False)
+        vocab_size = _check_size(vocab_size, "vocab_size", 1, _VOCAB_MAX)
+        corpus.__dict__.update(ids=ids, offsets=offsets, vocab_size=vocab_size)
+        return corpus
+
+    @property
+    def utterances(self) -> list[TokenSequence]:
+        """The sequences as lists of ints, built from the arrays on each call."""
+        ids, offsets = self.ids.tolist(), self.offsets.tolist()
+        return [ids[a:b] for a, b in zip(offsets, offsets[1:])]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.vocab_size == other.vocab_size and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.ids, other.ids))
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.offsets) - 1
 
     def total_tokens(self) -> int:
-        return sum(len(u) for u in self.utterances)
+        return int(self.offsets[-1])
 
 
-def _check_size(value, name: str, low: int | None = None) -> int:
+def _check_size(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """The one check of an integer parameter: ``operator.index(value)``, a plain ``int``, if
-    ``value`` is an ``int``, a ``bool`` or a numpy integer (which files write with ``%d``) and
-    is at least ``low`` when that is given; otherwise a ``ValueError`` naming ``name``."""
+    ``value`` is an ``int``, a ``bool`` or a numpy integer (which files write with ``%d``) within
+    ``low`` and ``high`` when they are given; otherwise a ``ValueError`` naming ``name``, unless
+    that is empty (a CLI option, which argparse names)."""
+    must = f"{name} must be" if name else "must be"
     try:
         size = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{must} an integer, got {value!r}") from None
     if low is not None and size < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        raise ValueError(f"{must} >= {low}, got {value}")
+    if high is not None and size > high:
+        raise ValueError(f"{must} <= {high}, got {value}")
     return size
 
 
@@ -91,10 +128,17 @@ class IdRangeError(ValueError):
 
 
 def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
-    """The one id check: ``IdRangeError`` unless every id of ``seqs`` is an ``int`` or a numpy
-    integer in ``[0, limit)``. ``message`` is formatted with the first bad ``id``, its position
-    ``pos``, ``limit`` and its sequence's ``index`` counted from ``first``, as the error's is."""
+    """The one id check: ``IdRangeError`` unless every id of ``seqs``, a ``Corpus`` or a list of
+    sequences, is an ``int`` or a numpy integer in ``[0, limit)``. ``message`` is formatted with
+    the first bad ``id``, its position ``pos``, ``limit`` and its sequence's ``index`` counted
+    from ``first``, as the error's is. A Corpus is checked only if its vocab size exceeds
+    ``limit``; a 1-D integer array takes one dtype and bound test, and is walked if it fails."""
+    if isinstance(seqs, Corpus):
+        seqs = np.split(seqs.ids, seqs.offsets[1:-1]) if seqs.vocab_size > limit else []
     for i, seq in enumerate(seqs):
+        if (isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "iu"
+                and not ((seq < 0) | (seq >= limit)).any()):
+            continue
         rest = iter(seq)
         for t in rest:  # a bare loop, exact type first: faster than enumerate() or isinstance()
             if type(t) is not int and not isinstance(t, (int, np.integer)) or not 0 <= t < limit:
@@ -103,41 +147,55 @@ def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
                                    first + i)
 
 
-def _id_stream(seqs, head: list[int], mark: list[int]) -> np.ndarray:
-    """The int64 stream ``head, seqs[0], mark, seqs[1], mark, ...`` of ``seqs`` that passed
-    ``_check_ids``."""
-    stream = list(head)
-    for seq in seqs:
-        stream.extend(seq)
-        stream.extend(mark)
-    return np.array(stream, dtype=np.int64)
+def _as_corpus(seqs, limit: int, message: str) -> Corpus:
+    """``seqs``, a Corpus or sequences, as a Corpus whose ids pass ``_check_ids`` with ``limit``
+    and ``message``; sequences are flattened once."""
+    if isinstance(seqs, Corpus):
+        _check_ids(seqs, limit, message)
+        return seqs
+    seqs = list(seqs)  # an iterator, too
+    _check_ids(seqs, limit, message)
+    offsets = np.fromiter(accumulate(map(len, seqs), initial=0), np.int64, len(seqs) + 1)
+    return Corpus._of(np.fromiter(chain.from_iterable(seqs), np.int64, offsets[-1]), offsets, limit)
 
 
-def _blockwise(fn, seqs, limit: int, message: str) -> list:
-    """``fn(block)`` on consecutive blocks of whole ``seqs`` of up to ``_BLOCK_TOKENS`` ids (one
-    longer sequence is a block of its own), each block first passing ``_check_ids`` with
-    ``limit`` and ``message``, its ``index`` counted over all of ``seqs``; ``fn`` returns one
-    item per sequence, and the items are concatenated."""
-    out: list = []
-    block: list = []
-    size = 0
-    for seq in seqs:
-        if block and size + len(seq) > _BLOCK_TOKENS:
-            _check_ids(block, limit, message, len(out))
-            out += fn(block)
-            block, size = [], 0
-        block.append(seq)
-        size += len(seq)
-    _check_ids(block, limit, message, len(out))
-    return out + fn(block)
+def _id_stream(ids: np.ndarray, offsets: np.ndarray, head: list, mark: list) -> np.ndarray:
+    """The int64 stream ``head, seq 0, mark, seq 1, mark, ...`` of checked ``ids`` split at
+    ``offsets``."""
+    if len(offsets) == 2:  # a lone sequence, as ``logprob`` and ``encode`` give
+        return np.concatenate((np.array(head, dtype=np.int64), ids, np.array(mark, dtype=np.int64)))
+    h, m, n = len(head), len(mark), len(offsets) - 1
+    stream = np.empty(h + len(ids) + n * m, dtype=np.int64)
+    at = (offsets[1:] + np.arange(h, h + n * m, m))[:, None] + np.arange(m)  # each mark's place
+    stream[:h], stream[at] = head, mark
+    keep = np.ones(len(stream), dtype=bool)
+    keep[:h] = keep[at] = False
+    stream[keep] = ids
+    return stream
+
+
+def _blocks(corpus: Corpus):
+    """The ids and offsets (from 0) of consecutive blocks of whole sequences of ``corpus`` of up to
+    ``_BLOCK_TOKENS`` ids, a longer sequence being a block of its own; no sequences, one block."""
+    ids, offsets, bounds = corpus.ids, corpus.offsets, corpus.offsets.tolist()
+    i, n = 0, len(bounds) - 1
+    while True:
+        j = min(n, max(i + 1, bisect_right(bounds, bounds[i] + _BLOCK_TOKENS) - 1))
+        yield ids[bounds[i] : bounds[j]], offsets[i : j + 1] - bounds[i]
+        if j == n:
+            return
+        i = j
 
 
 _SPACE = " \t\n\r\v\f"  # the ASCII whitespace that ``bytes.split`` splits on
+# the kind of each byte of a token file, for ``bytes.translate``: whitespace 0, digit 1, other 2
+_KIND = bytes(0 if chr(b) in _SPACE else 1 if b in b"0123456789" else 2 for b in range(256))
 
 
 def _split(line: str) -> list[str]:
     """A line of a text file split on ASCII whitespace only."""
-    return [t.decode() for t in line.encode().split()]
+    raw = line.encode("utf-8", "surrogatepass")  # a --prompt may hold escaped argv bytes
+    return [t.decode("utf-8", "surrogatepass") for t in raw.split()]
 
 
 def _parse_id(token: str) -> int:
@@ -155,12 +213,14 @@ def _parse_float(token: str) -> float:
 
 
 def _parse_ids(text: str) -> list[int]:
-    """Ids separated by ASCII whitespace, each in the grammar of ``_parse_id``."""
-    # bytes split on ASCII whitespace only, and their isdigit() takes ASCII digits only; a
-    # token that fails here fails ``_parse_id`` too, which raises its error
-    raw = text.encode("utf-8", "surrogatepass")  # a --prompt may hold escaped argv bytes
-    return [int(t) if t.isdigit() and (t[0] != 48 or len(t) == 1)
-            else _parse_id(t.decode("utf-8", "surrogatepass")) for t in raw.split()]
+    """Ids separated by ASCII whitespace, each in the grammar of ``_parse_id`` and below
+    ``_VOCAB_MAX``."""
+    ids = []
+    for token in _split(text):
+        ids.append(_parse_id(token))
+        if ids[-1] >= _VOCAB_MAX:
+            raise FormatError(f"id {token} outside [0, {_VOCAB_MAX})")
+    return ids
 
 
 def _parse_vocab_header(line: str) -> int:
@@ -170,72 +230,104 @@ def _parse_vocab_header(line: str) -> int:
     vocab = _parse_id(parts[1])
     if vocab < 1:
         raise FormatError("vocab size must be >= 1")
+    if vocab > _VOCAB_MAX:
+        raise FormatError(f"vocab size must be <= {_VOCAB_MAX}")
     return vocab
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file (newlines as in text mode); other bytes are a FormatError."""
+def _token_ids(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids and offsets of the lines of ``text`` that are not blank, or None unless every line
+    is ids that ``_parse_ids`` takes."""
+    raw = text.encode()
+    kind = np.frombuffer((b" " + raw + b" ").translate(_KIND), dtype=np.int8)
+    if kind.max() > 1:
+        return None
+    edge = kind[1:] - kind[:-1]  # 1 where an id starts in ``raw``, -1 just past its end
+    starts, chars = (edge == 1).nonzero()[0], np.frombuffer(raw, dtype=np.uint8)
+    if (chars[starts] == ord("0"))[(edge == -1).nonzero()[0] - starts > 1].any():
+        return None  # a leading zero
+    # canonical decimals between ASCII whitespace now: one past int64 saturates, and fails below
+    ids = np.fromstring(text, np.int64, sep=" ") if len(starts) else np.zeros(0, np.int64)
+    return None if ids.max(initial=0) >= _VOCAB_MAX else (ids, _line_offsets(chars, starts))
+
+
+def _line_offsets(chars: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The offsets of the tokens that begin at ``starts`` in ``chars``, the code units of a text,
+    one sequence per line that holds any."""
+    line = (chars == ord("\n")).nonzero()[0].searchsorted(starts)
+    first = (line != np.concatenate(([-1], line[:-1]))).nonzero()[0]  # each line's first token
+    return np.concatenate((first, [len(starts)]))
+
+
+def _read_text(path: str) -> str:
+    """A UTF-8 text file (newlines as in text mode); other bytes are a FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _read_records(lines, path: str, parse, start: int = 1) -> list:
-    """The one line loop of the text formats: ``parse(line, lineno)`` on each line, counted from
-    ``start``, that is not blank once stripped of ASCII whitespace. A ``ValueError`` it raises is
-    reported as ``path:lineno``; a ``None`` it returns, as for a header, is dropped."""
+def _read_records(lines, path: str, parse, start: int = 1, header=None) -> list:
+    """The one line loop of the text formats: ``parse(line)`` on each line, counted from
+    ``start``, that is not blank once stripped of ASCII whitespace; a line that ``header`` accepts
+    is instead a header, allowed on line 1 only, and gives no record. A ``ValueError`` is reported
+    as ``path:lineno``."""
     records = []
     for lineno, raw in enumerate(lines, start):
         line = raw.strip(_SPACE)
         if line:
             try:
-                record = parse(line, lineno)
+                if header is None or not header(line):
+                    records.append(parse(line))
+                elif lineno != 1:
+                    raise FormatError("header allowed on line 1 only")
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if record is not None:
-                records.append(record)
     return records
 
 
-def _read_corpus(path: str, parse_line, vocab: int | None = None, header=None) -> Corpus:
-    """One utterance through ``parse_line`` per record of ``_read_records``. With ``header``, a
-    line 1 that starts with ``#`` goes to it and gives the vocab size. The vocab size, given or
-    from the header, must cover every id; without one it is ``1 + max(id)``."""
-    def parse(line: str, lineno: int):
-        nonlocal vocab
-        if header is None or line[0] != "#":
-            return parse_line(line)
-        if lineno != 1:
-            raise FormatError("header allowed on line 1 only")
-        vocab = header(line)  # and the line gives no utterance
-
-    utterances = _read_records(_read_lines(path), path, parse)
-    if not utterances:
+def _read_corpus(path: str, read, check, vocab: int | None = None, header=None) -> Corpus:
+    """One utterance per line that is not blank: ``read`` converts the whole text at once to ids
+    and offsets, or gives None if a line breaks the grammar, and only then does ``_read_records``
+    run ``check``, which raises the first bad line's error. With ``header``, a line 1 that starts
+    with ``#`` goes to it and gives the vocab size. The vocab size, given or from the header,
+    must cover every id; without one it is ``1 + max(id)``."""
+    text, start = _read_text(path), 1
+    is_header = None if header is None else (lambda line: line.startswith("#"))
+    first, _, rest = text.partition("\n")
+    if is_header and is_header(first.strip(_SPACE)):
+        [vocab], text, start = _read_records([first], path, header), rest, 2
+    parsed = read(text)
+    if parsed is None:
+        _read_records(text.split("\n"), path, check, start, is_header)
+        raise AssertionError(f"{path}: the text breaks the grammar, yet none of its lines does")
+    ids, offsets = parsed
+    if not len(ids):
         raise FormatError(f"{path}: no utterances")
-    max_id = max(map(max, utterances))
+    max_id = int(ids.max())
     if vocab is not None and vocab <= max_id:
         raise FormatError(f"{path}: vocab {vocab} does not cover max id {max_id}")
-    return Corpus(utterances, max_id + 1 if vocab is None else vocab)
+    return Corpus._of(ids, offsets, max_id + 1 if vocab is None else vocab)
 
 
 def load_tokens(path: str) -> Corpus:
     """Parse a token file; see the module docstring for the format."""
-    return _read_corpus(path, _parse_ids, header=_parse_vocab_header)
+    return _read_corpus(path, _token_ids, _parse_ids, header=_parse_vocab_header)
 
 
 def dump_tokens(corpus: Corpus) -> str:
     """Serialize a corpus to token-file text (always with a vocab header)."""
-    if not corpus.utterances:
+    lengths = np.diff(corpus.offsets)
+    if not len(lengths):
         raise ValueError("corpus has no utterances; nothing to serialize")
-    pieces = [f"{TOKEN_HEADER_PREFIX} %d\n" % corpus.vocab_size]
-    for i, utt in enumerate(corpus.utterances):
-        if not utt:
-            raise ValueError(f"utterance {i} is empty; empty sequences are unserializable")
-        pieces.append(("%d " * len(utt))[:-1] % tuple(utt))  # a bool id writes as 0 or 1
-        pieces.append("\n")
-    return "".join(pieces)
+    if not lengths.all():
+        raise ValueError(f"utterance {lengths.argmin()} is empty; "
+                         "empty sequences are unserializable")
+    text = bytearray(b"%d " * len(corpus.ids))  # one format for every id, "\n" after a line's last
+    np.frombuffer(text, dtype=np.uint8)[3 * corpus.offsets[1:] - 1] = ord("\n")
+    header = f"{TOKEN_HEADER_PREFIX} %d\n" % corpus.vocab_size
+    return header + text.decode() % tuple(corpus.ids.tolist())
 
 
 def _save(data: str | bytes, path: str) -> None:
@@ -317,7 +409,7 @@ def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.n
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:
     width = 0  # the column count of the first row
 
-    def parse(line: str, lineno: int) -> list[float]:
+    def parse(line: str) -> list[float]:
         nonlocal width
         try:
             row = [_parse_float(cell) for cell in line.split(",")]

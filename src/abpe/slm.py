@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _blockwise, _check_ids, _check_size, _id_stream,
-                     _save, _unpack_header)
+from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
+                     _id_stream, _save, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -80,12 +80,12 @@ class _Order(NamedTuple):
     unseen: np.ndarray  # weight * add-k estimate of an unseen event, per context
 
 
-def _windows(seqs: list[TokenSequence], vocab_size: int, order: int) -> np.ndarray:
-    """The int64 windows of each id and end event of checked ``seqs``, read from one stream
-    with ``order - 1`` begin markers before each sequence: row 0 holds the event and row
-    d < order the symbol d before it, shifted by one (0 for a begin marker)."""
+def _windows(ids: np.ndarray, offsets: np.ndarray, vocab_size: int, order: int) -> np.ndarray:
+    """The int64 windows of each id and end event of the checked ``ids`` split at ``offsets``,
+    read from one stream with ``order - 1`` begin markers before each sequence: row 0 holds the
+    event and row d < order the symbol d before it, shifted by one (0 for a begin marker)."""
     pad = [BOS] * (order - 1)
-    shifted = _id_stream(seqs, pad, [vocab_size] + pad) + 1
+    shifted = _id_stream(ids, offsets, pad, [vocab_size] + pad) + 1
     at = shifted.nonzero()[0]  # the events: all but the begin markers
     windows = shifted[at - np.arange(len(pad) + 1)[:, None]]
     np.subtract(windows[0], 1, out=windows[0])  # in place; ``-=`` would copy the row back
@@ -223,7 +223,7 @@ class NgramModel:
 
         ``interpolation_weights`` (uniform when None) are scaled to sum to one.
         """
-        if not corpus.utterances:
+        if not len(corpus):
             raise ValueError("cannot train on an empty corpus")
         order = _check_size(order, "order", 1)
         if interpolation_weights is None:
@@ -233,21 +233,22 @@ class NgramModel:
         if total > 0:  # otherwise the constructor rejects the weights as given
             weights = tuple(w / total for w in weights)
         vocab = corpus.vocab_size
-        _check_ids(corpus.utterances, vocab, _OUT_OF_VOCAB)
-        windows = _windows(corpus.utterances, vocab, order)[::-1].T.astype(">u8", order="C")
+        windows = _windows(corpus.ids, corpus.offsets, vocab, order)[::-1].T
+        windows = windows.astype(">u8", order="C")
         # as big-endian bytes, the windows sort as their (context, event) keys do
         keys, counts = np.unique(windows.view(f"V{8 * windows.shape[1]}"), return_counts=True)
         keys = keys.view(">u8").reshape(len(keys), -1)
         return cls(vocab, order, add_k, weights, np.column_stack((keys, counts)))
 
-    def logprobs(self, seqs: list[TokenSequence]) -> list[float]:
-        """Natural-log probability of each sequence, its end event included; an id
-        outside the vocabulary raises ``IdRangeError`` naming its sequence. Sequences
-        are scored in blocks of whole sequences, so memory does not grow with ``seqs``."""
-        return _blockwise(self._block_logprobs, seqs, self.vocab_size, _OUT_OF_VOCAB)
+    def logprobs(self, seqs: Corpus | list[TokenSequence]) -> list[float]:
+        """Natural-log probability of each sequence, of a corpus or a list, its end event
+        included; an id outside the vocabulary raises ``IdRangeError`` naming its sequence.
+        Sequences are scored in blocks of whole sequences, so memory does not grow with them."""
+        corpus = _as_corpus(seqs, self.vocab_size, _OUT_OF_VOCAB)
+        return [score for block in _blocks(corpus) for score in self._block_logprobs(*block)]
 
-    def _block_logprobs(self, seqs: list[TokenSequence]) -> list[float]:
-        windows = _windows(seqs, self.vocab_size, self.order)
+    def _block_logprobs(self, tokens: np.ndarray, offsets: np.ndarray) -> list[float]:
+        windows = _windows(tokens, offsets, self.vocab_size, self.order)
         v1 = self.vocab_size + 1
         ids = scaled = 0  # per event, its context's id at this order, and that times V+1
         probs = 0.0
@@ -260,9 +261,10 @@ class NgramModel:
             probs = probs + np.where(t.grams[at] == codes, t.seen[at], t.unseen[ids])
         logs = map(math.log, probs.tolist())
         out = []
-        for seq in seqs:
+        bounds = offsets.tolist()
+        for a, b in zip(bounds, bounds[1:]):
             total = 0.0
-            for term in islice(logs, len(seq) + 1):  # in order: sum() may round differently
+            for term in islice(logs, b - a + 1):  # in order: sum() may round differently
                 total += term
             out.append(total)
         return out

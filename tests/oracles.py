@@ -7,6 +7,7 @@ around.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -289,3 +290,70 @@ def random_small_corpus(rng, max_vocab=10, max_utts=8, max_len=12):
         for _ in range(n_utts)
     ]
     return Corpus(utts, v)
+
+
+# -------------------------------------------------------------- tokens ----
+
+TOKEN_ID_BOUND = 2**63 - 2  # a vocab size is at most this, so every id lies below it
+
+
+def read_token_file(path):
+    """A token file read one line at a time, as the README describes the format:
+    ``(utterances, vocab_size)``, or the message of the ``FormatError`` a loader
+    raises for it."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # text mode's newlines
+    decimal = re.compile("0|[1-9][0-9]*")  # [0-9] is ASCII only, unlike \d
+    vocab, utterances = None, []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        fields = [f for f in re.split("[ \t\n\r\v\f]", line) if f]
+        if not fields:
+            continue
+        if fields[0].startswith("#"):
+            if lineno != 1:
+                return f"{path}:{lineno}: header allowed on line 1 only"
+            if len(fields) != 2 or fields[0] != "#vocab":
+                return f"{path}:1: expected '#vocab <N>' header"
+            if not decimal.fullmatch(fields[1]):
+                return f"{path}:1: malformed integer {fields[1]!r}"
+            vocab = int(fields[1])
+            if vocab < 1:
+                return f"{path}:1: vocab size must be >= 1"
+            if vocab > TOKEN_ID_BOUND:
+                return f"{path}:1: vocab size must be <= {TOKEN_ID_BOUND}"
+            continue
+        utterance = []
+        for field in fields:
+            if not decimal.fullmatch(field):
+                return f"{path}:{lineno}: malformed integer {field!r}"
+            if int(field) >= TOKEN_ID_BOUND:
+                return f"{path}:{lineno}: id {field} outside [0, {TOKEN_ID_BOUND})"
+            utterance.append(int(field))
+        utterances.append(utterance)
+    if not utterances:
+        return f"{path}: no utterances"
+    top = max(max(u) for u in utterances)
+    if vocab is not None and vocab <= top:
+        return f"{path}: vocab {vocab} does not cover max id {top}"
+    return utterances, top + 1 if vocab is None else vocab
+
+
+def read_unicode_file(path):
+    """Unicode text read one line at a time, as ``abpe from-unicode`` reads it:
+    ``(utterances, 1 + max id)``, or the message of the ``FormatError`` it raises."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # text mode's newlines
+    utterances = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip(" \t\n\r\v\f")
+        for i, ch in enumerate(line):
+            if not 0x4E00 <= ord(ch) <= 0x9FFF:
+                return f"{path}:{lineno}: character {ch!r} at index {i} is outside U+4E00..U+9FFF"
+        if line:
+            utterances.append([ord(ch) - 0x4E00 for ch in line])
+    if not utterances:
+        return f"{path}: no utterances"
+    return utterances, max(max(u) for u in utterances) + 1
+

@@ -704,6 +704,70 @@ def test_rescore_error_names_its_case(tmp_path, capsys, last_case, message):
     assert capsys.readouterr().err == f"error: case q3: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 99999999999999999999 1\n1 0\n",
+     "1: id 99999999999999999999 outside [0, 9223372036854775806)"),
+    ("#vocab 99999999999999999999\n0 1\n", "1: vocab size must be <= 9223372036854775806"),
+    ("0\n9223372036854775806\n", "2: id 9223372036854775806 outside [0, 9223372036854775806)"),
+])
+def test_ids_past_the_int64_bound_fail_with_their_line(tmp_path, capsys, text, message):
+    # rejected on load: the n-gram's int64 stream holds vocab_size + 1
+    path, out = tmp_path / "big.tok", tmp_path / "lm.ngram"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("slm-train", "--in", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+    assert not out.exists()
+
+
+# every integer option with the least value it takes; the options each subcommand requires
+_INT_MINIMUMS = {
+    "synth": {"--vocab": 2, "--utts": 1, "--len": 1, "--motifs": 0, "--motif-len": 1,
+              "--seed": 0},
+    "kmeans-fit": {"--k": 1, "--seed": 0, "--max-iters": 1, "--sample-rows": 1},
+    "from-unicode": {"--vocab": 1},
+    "bpe-train": {"--vocab": 1},
+    "slm-train": {"--order": 1},
+    "continue": {"--max-new": 0, "--seed": 0, "--top-k": 1, "--num": 1},
+    "metrics-vert": {"--n": 1},
+    "metrics-syntax": {"--block": 1, "--seed": 0},
+}
+_REQUIRED = {
+    "synth": ["--vocab", "5", "--utts", "2", "--seed", "1"],
+    "kmeans-fit": ["--in", "f", "--k", "2", "--seed", "1"],
+    "from-unicode": ["--in", "u.txt"],
+    "bpe-train": ["--in", "c.tok", "--vocab", "9"],
+    "slm-train": ["--in", "c.tok"],
+    "continue": ["--model", "m", "--prompt", "0", "--max-new", "3", "--seed", "1"],
+    "metrics-vert": ["--in", "c.tok"],
+    "metrics-syntax": ["--model", "m", "--in", "c.tok", "--seed", "1"],
+}
+
+
+def test_the_minimum_table_holds_every_integer_option():
+    float_type = cli._FLOAT["type"]
+    found = {}
+    for name, _, options in cli._SUBCOMMANDS:
+        for option in options:
+            flag, kwargs = (option, cli._SHARED[option]) if isinstance(option, str) else option
+            if kwargs.get("type") not in (None, float_type):
+                found.setdefault(name, set()).add(flag)
+    assert found == {name: set(flags) for name, flags in _INT_MINIMUMS.items()}
+
+
+@pytest.mark.parametrize("sub, option, low", [
+    (sub, option, low) for sub, options in _INT_MINIMUMS.items() for option, low in options.items()
+])
+def test_integer_options_below_their_minimum_are_usage_errors(capsys, sub, option, low):
+    # rejected while parsing, naming the option, before the library sees the value
+    bad = str(low - 1)
+    values = [bad, bad] if option in ("--len", "--motif-len") else [bad]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(sub, *_REQUIRED[sub], option, *values)
+    assert exc.value.code == 2
+    rule = f"must be >= {low}, got {bad}" if low else "malformed integer '-1'"
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {rule}\n")
+
+
 def test_manifest_header_allowed_on_line_1_only(tmp_path, capsys):
     argv = _rescore_inputs(tmp_path, [  # a blank line, then the header
         (), ("case_id", "candidate_id", "token_file_path", "human_rank"), ("q", "a", "a.tok", "1"),

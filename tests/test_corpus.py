@@ -117,6 +117,16 @@ class TestTokenFiles:
         with pytest.raises(ValueError, match="outside"):
             Corpus([[0, 5]], 5)
 
+    def test_vocab_sizes_stop_where_int64_streams_would_overflow(self, tmp_path):
+        # the n-gram stream holds vocab_size + 1, so a vocab size is at most 2**63 - 2
+        with pytest.raises(ValueError, match=r"^vocab_size must be <= 9223372036854775806, got "):
+            Corpus([[0, 2**64]], 2**65)
+        top = Corpus([[0, 2**63 - 3]], 2**63 - 2)
+        path = tmp_path / "top.tok"
+        save_tokens(top, str(path))
+        assert path.read_text() == "#vocab 9223372036854775806\n0 9223372036854775805\n"
+        assert load_tokens(str(path)) == top
+
 
 class TestFeatureFiles:
     def test_csv_parse(self, tmp_path):

@@ -27,11 +27,11 @@ from abpe import (
     syntax_accuracy,
     tokens_to_unicode,
     topx_accuracy,
-    unicode_to_tokens,
     vert,
 )
 from abpe.cli import _read_manifest, main
-from abpe.corpus import IdRangeError, _read_corpus
+from abpe.codec import _read_unicode
+from abpe.corpus import IdRangeError
 
 from oracles import bpe_apply_merge, random_small_corpus
 
@@ -414,7 +414,7 @@ _NOT_UTF8 = b"0 1\r\n\xff 2\n"  # the bad byte is byte 5 of the file
 
 @pytest.mark.parametrize("loader", [
     load_tokens,
-    lambda path: _read_corpus(path, unicode_to_tokens),
+    _read_unicode,
     BpeModel.load,
     _read_manifest,
 ], ids=["tokens", "unicode", "merges", "manifest"])

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abpe import BpeModel, Corpus, NgramModel, load_tokens, save_tokens, slm
+from abpe import BpeModel, Corpus, FormatError, NgramModel, load_tokens, save_tokens, slm
 from abpe.bpe import _count_pairs
+from abpe.codec import _read_unicode
 from abpe.corpus import IdRangeError
 from abpe.kmeans import _nearest, _plusplus_init
 
@@ -30,6 +31,8 @@ from oracles import (
     nearest_centroid_bruteforce,
     ngram_cond_prob,
     ngram_logprob,
+    read_token_file,
+    read_unicode_file,
     sampled_continuation,
 )
 
@@ -335,3 +338,75 @@ def test_an_accepted_corpus_round_trips_through_a_token_file(utterances, data):
     with tempfile.TemporaryDirectory(prefix="abpe-roundtrip-") as tmp:
         save_tokens(corpus, f"{tmp}/c.tok")
         assert load_tokens(f"{tmp}/c.tok") == corpus
+
+
+# ids in range, of up to 19 digits (the largest one below the bound), and fields that are not ids:
+# leading zeros, signs, "_", non-ASCII digits, U+3000, ids at and past the bound (19 and 20 digits)
+_IDS_IN_RANGE = st.one_of(st.integers(0, 60).map(str), st.sampled_from(
+    ["123456789012345678", "1234567890123456789", "9223372036854775805"]))
+_NOT_IDS = st.sampled_from(["00", "012", "-1", "+2", "1_0", "\u0663", "1\u3000", "\u30001", "x",
+                            "#1", "9223372036854775806", "9999999999999999999",
+                            "99999999999999999999", "18446744073709551616"])
+_GAPS = st.sampled_from([" ", "\t", "\v", "\f", " \t "])
+_EDGES = st.sampled_from(["", " ", "\t", "\f "])
+_HEADERS = st.one_of((_IDS_IN_RANGE | _NOT_IDS).map("#vocab ".__add__), st.sampled_from(
+    ["#vocab", "#vocab 5 6", "#voc 5", "#", " #vocab\t61 ", "#vocab 0"]))
+
+
+@st.composite
+def token_texts(draw):
+    """A token file's text: lines of ids, blank lines among them, three kinds of line end, at
+    most one field that is not an id, and a ``#vocab`` line on line 1, on line 2 or on neither."""
+    lines = [draw(st.lists(_IDS_IN_RANGE, max_size=4)) for _ in range(draw(st.integers(0, 5)))]
+    if lines and draw(st.booleans()):
+        fields = draw(st.sampled_from(lines))
+        fields.insert(draw(st.integers(0, len(fields))), draw(_NOT_IDS))
+    for i, fields in enumerate(lines):
+        gaps = [draw(_GAPS) for _ in fields[1:]] + [draw(_EDGES)]
+        lines[i] = draw(_EDGES) + "".join(f + g for f, g in zip(fields, gaps))
+    at = draw(st.sampled_from([None, None, 0, 1]))
+    if at is not None:
+        header = st.integers(1, 70).map("#vocab {}".format) | _HEADERS
+        lines.insert(min(at, len(lines)), draw(header))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+def _loads_as_the_oracle_reads(text, load, oracle):
+    with tempfile.TemporaryDirectory(prefix="abpe-text-") as tmp:
+        path = f"{tmp}/c.txt"
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        want = oracle(path)
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as exc:
+                load(path)
+            assert str(exc.value) == want
+        else:
+            corpus = load(path)
+            assert (corpus.utterances, corpus.vocab_size) == want
+
+
+@settings(PROFILE, max_examples=500)
+@given(token_texts())
+def test_load_tokens_matches_the_line_by_line_oracle(text):
+    _loads_as_the_oracle_reads(text, load_tokens, read_token_file)
+
+
+@st.composite
+def unicode_texts(draw):
+    """Unicode text: lines of block characters between ASCII whitespace, blank lines among them,
+    three kinds of line end, and at most one character that breaks a line's one run."""
+    unit = st.integers(0x4E00, 0x9FFF).map(chr)
+    lines = [draw(st.lists(unit, max_size=5)) for _ in range(draw(st.integers(0, 5)))]
+    if lines and draw(st.booleans()):
+        chars = draw(st.sampled_from(lines))
+        chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(
+            [" ", "\t", "a", "0", "\u3000", "\u4dff", "\ua000", "\x1c", "\u2028"])))
+    return "".join(draw(_EDGES) + "".join(chars) + draw(_EDGES)
+                   + draw(st.sampled_from(["\n", "\r\n", "\r"])) for chars in lines)
+
+
+@settings(PROFILE, max_examples=300)
+@given(unicode_texts())
+def test_unicode_input_matches_the_line_by_line_oracle(text):
+    _loads_as_the_oracle_reads(text, _read_unicode, read_unicode_file)
