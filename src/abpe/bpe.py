@@ -6,9 +6,10 @@ the requested vocabulary size is reached or no pair occurs at least twice.
 Occurrences are counted non-overlapping left-to-right (a run of m equal
 units contributes floor(m/2) pairs) and never across utterance boundaries.
 Frequency ties go to the lexicographically smallest (left, right) pair.
-The trainer keeps the corpus as one token list with next and previous links
-and -1 around each utterance, so no pair crosses a boundary, and an index
-from each pair to the positions where it starts. A merge of (a, b) into u
+The trainer reads the corpus as one token stream with -1 around each
+utterance, so no pair crosses a boundary; one pass counts its pairs and
+indexes where each starts, and next and previous links join the tokens
+that merges leave. A merge of (a, b) into u
 visits only its pair's positions, in ascending order, skips stale ones, and
 moves the counts in closed form, with L the token before a site and R the
 token after it (nothing moves beside a boundary). For a != b, each site
@@ -44,7 +45,8 @@ round, so none can join the run later. An utterance leaves the stream once
 no pair in it has a rank. Merging every site below both neighbours' ranks
 instead would be wrong: in ``0 0 44 48``, merging (44, 48) can make a pair
 with 0 that outranks (0, 0).
-Decoding expands merged units recursively, so decode(encode(x)) == x.
+Decoding writes every merged unit of a corpus as its two operands, one round
+per level of its deepest merge tree, so decode(encode(x)) == x.
 
 Merges file: line 1 ``#abpe 1``, line 2 ``#base <N>``, then one merge per
 line as ``left right`` unit ids in training order. Merge i defines unit
@@ -75,15 +77,21 @@ def _check_base_size(base_size: int) -> int:
     return size
 
 
-def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> None:
-    """Accumulate non-overlapping left-to-right adjacent-pair counts."""
+def _count_pairs(seq: list[int], counts: dict[Pair, int]) -> defaultdict[Pair, list[int]]:
+    """Accumulate non-overlapping left-to-right adjacent-pair counts of ``seq``, in which -1
+    separates sequences and no pair holding it counts, and return where each pair starts."""
+    where: defaultdict[Pair, list[int]] = defaultdict(list)
     last = None  # equal consecutive pairs lie in a run: count every other one
-    for pair in zip(seq, seq[1:]):
+    for p, pair in enumerate(zip(seq, seq[1:])):
         if pair == last:
             last = None
         else:
             counts[pair] = counts.get(pair, 0) + 1
             last = pair
+        where[pair].append(p)
+    for pair in [pair for pair in where if -1 in pair]:
+        del counts[pair], where[pair]  # a pair's first site is always counted
+    return where
 
 
 def _run_is_even(tok: list[int], link: list[int], p: int) -> bool:
@@ -113,10 +121,11 @@ class BpeModel:
                 raise ValueError(f"merge {i}: duplicate pair ({a}, {b})")
         self.base_size = base_size
         self.merges: list[Pair] = list(ranks)
-        # the encoder's tables; rank len(merges) means "no merge"
+        # the decoder's and the encoder's tables; rank len(merges) means "no merge"
         none = len(self.merges)
         rank = np.arange(none)
-        left, right = np.array(self.merges, dtype=np.int64).reshape(-1, 2).T
+        self._operands = np.array(self.merges, dtype=np.int64).reshape(-1, 2)  # by rank
+        left, right = self._operands.T
         min_rank_as_right = np.full(self.vocab_size, none)
         min_rank_as_left = np.full(self.vocab_size, none)
         for operands, min_rank in ((right, min_rank_as_right), (left, min_rank_as_left)):
@@ -164,15 +173,9 @@ class BpeModel:
         # index from each pair to the positions it starts at (or once started
         # at: an entry is checked when it is used). A merged site keeps its left
         # position and unlinks its right one, whose token becomes -1.
-        tok: list[int] = [-1]
+        tok = _id_stream(corpus.ids, corpus.offsets, [-1], [-1]).tolist()
         counts: dict[Pair, int] = {}
-        where: defaultdict[Pair, list[int]] = defaultdict(list)
-        for u in corpus.utterances:
-            _count_pairs(u, counts)
-            for p, pair in enumerate(zip(u, u[1:]), len(tok)):
-                where[pair].append(p)
-            tok.extend(u)  # any sequence: += would add a numpy array elementwise
-            tok.append(-1)
+        where = _count_pairs(tok, counts)
         nxt = list(range(1, len(tok) + 1))
         prv = list(range(-1, len(tok) - 1))
 
@@ -257,23 +260,8 @@ class BpeModel:
         return self.encode_corpus([seq]).utterances[0]
 
     def decode(self, seq: TokenSequence) -> TokenSequence:
-        """Expand merged units back to base tokens."""
-        _check_ids([seq], self.vocab_size, "id {id} at position {pos} out of range")
-        out: list[int] = []
-        for t in seq:
-            if t < self.base_size:
-                out.append(t)
-                continue
-            stack = [t]
-            while stack:
-                u = stack.pop()
-                if u < self.base_size:
-                    out.append(u)
-                else:
-                    a, b = self.merges[u - self.base_size]
-                    stack.append(b)
-                    stack.append(a)
-        return out
+        """Expand one sequence to base ids: ``decode_corpus`` on a corpus of one."""
+        return self.decode_corpus([seq]).utterances[0]
 
     def encode_corpus(self, corpus: Corpus | list[TokenSequence]) -> Corpus:
         """Encode every utterance of a corpus, or of a list of sequences, of base ids.
@@ -327,8 +315,19 @@ class BpeModel:
         # in utterance order: a stable sort keeps each utterance's units in theirs
         return np.concatenate(finished)[np.concatenate(owners).argsort(kind="stable")]
 
-    def decode_corpus(self, corpus: Corpus) -> Corpus:
-        return Corpus([self.decode(u) for u in corpus.utterances], self.base_size)
+    def decode_corpus(self, corpus: Corpus | list[TokenSequence]) -> Corpus:
+        """Expand every utterance of a corpus, or of a list of sequences, to base ids; an id
+        outside the vocabulary raises ``IdRangeError`` for the first bad id of the first
+        utterance that holds one."""
+        corpus = _as_corpus(corpus, self.vocab_size, "id {id} at position {pos} out of range")
+        ids, offsets = corpus.ids, corpus.offsets
+        while (merged := ids >= self.base_size).any():  # one round per level of merge tree
+            width = 1 + merged
+            start = np.append(0, width.cumsum())  # where each unit's expansion starts, and the end
+            at = start[:-1][merged]
+            ids, offsets = ids.repeat(width), start[offsets]
+            ids[at[:, None] + [0, 1]] = self._operands[ids[at] - self.base_size]
+        return Corpus._of(ids, offsets, self.base_size)
 
     def dumps(self) -> str:
         lines = [f"#abpe {MERGES_VERSION}", "#base %d" % self.base_size]

@@ -18,13 +18,14 @@ On-disk formats handled here:
   ``_``. ``load_features`` sniffs the magic bytes to pick the parser.
 
 In memory a ``Corpus`` is one read-only int64 array of ids and the offsets
-of its sequences, which every layer reads. Three rules of the package live
+of its sequences, which every layer reads. Four rules of the package live
 here. An id is an ``int`` or a numpy integer in ``[0, limit)``: ``_check_ids``
 is the one check of it and raises ``IdRangeError``. A ``Corpus`` is checked
 as it is built, and is not checked again below its vocab size; ``_id_stream``
 takes only checked ids. An integer parameter (a size, an order, a count) is
 an ``int``, a ``bool`` or a numpy integer, at least its minimum if it has
 one: ``_check_size`` is the one check of it and returns it as an ``int``.
+Floats are summed by ``_sum_in_order``, left to right on every Python.
 ``_save`` writes every artifact file, whole or not at all.
 
 Loaders depend only on file bytes and ``synth_corpus`` only on its spec,
@@ -39,6 +40,7 @@ import shutil
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
 
 import numpy as np
@@ -117,6 +119,11 @@ def _check_size(value, name: str, low: int | None = None, high: int | None = Non
     if high is not None and size > high:
         raise ValueError(f"{must} <= {high}, got {value}")
     return size
+
+
+def _sum_in_order(values) -> float:
+    """The one float sum: one rounding per term, left to right, as ``sum`` before Python 3.12."""
+    return reduce(operator.add, values, 0.0)
 
 
 class IdRangeError(ValueError):

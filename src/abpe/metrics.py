@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence, _check_size
+from .corpus import Corpus, TokenSequence, _check_size, _sum_in_order
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,15 @@ def self_bleu(texts, n: int) -> float:
             clipped += min(c, limit)
             total += c
         precisions.append(clipped / total)
-    return sum(precisions) / len(precisions)
+    return _sum_in_order(precisions) / len(precisions)
 
 
 def vert(texts, n: int) -> VertReport:
     """Geometric-mean diversity score on a 0..100 scale."""
+    n = _check_size(n, "n", 1)
     texts = list(texts)
     s = self_bleu(texts, n)
-    a = sum(auto_bleu(t, n) for t in texts) / len(texts)
+    a = _sum_in_order(auto_bleu(t, n) for t in texts) / len(texts)
     return VertReport(n=n, self_bleu=s, auto_bleu=a, vert=100.0 * math.sqrt(s * a))
 
 
@@ -152,7 +153,5 @@ def cross_entropy(samples, reference) -> CrossEntropyReport:
     samples = list(samples)
     if not samples:
         raise ValueError("no samples")
-    total = 0.0
-    for score in reference.logprobs(samples):
-        total += score
+    total = _sum_in_order(reference.logprobs(samples))
     return CrossEntropyReport(n_samples=len(samples), entropy=-total / len(samples))

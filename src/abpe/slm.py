@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
-                     _id_stream, _save, _unpack_header)
+                     _id_stream, _save, _sum_in_order, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -147,7 +147,7 @@ class NgramModel:
             raise ValueError("add_k must be finite and > 0")
         if len(weights) != order:
             raise ValueError(f"expected {order} interpolation weights, got {len(weights)}")
-        if not all(0 <= w < math.inf for w in weights) or not sum(weights) > 0:
+        if not all(0 <= w < math.inf for w in weights) or not _sum_in_order(weights) > 0:
             raise ValueError(
                 "interpolation weights must be finite and non-negative with positive sum"
             )
@@ -229,7 +229,7 @@ class NgramModel:
         if interpolation_weights is None:
             interpolation_weights = [1.0] * order
         weights = tuple(float(w) for w in interpolation_weights)
-        total = sum(weights)
+        total = _sum_in_order(weights)
         if total > 0:  # otherwise the constructor rejects the weights as given
             weights = tuple(w / total for w in weights)
         vocab = corpus.vocab_size
@@ -260,14 +260,8 @@ class NgramModel:
             at = t.grams.searchsorted(codes)
             probs = probs + np.where(t.grams[at] == codes, t.seen[at], t.unseen[ids])
         logs = map(math.log, probs.tolist())
-        out = []
         bounds = offsets.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            total = 0.0
-            for term in islice(logs, b - a + 1):  # in order: sum() may round differently
-                total += term
-            out.append(total)
-        return out
+        return [_sum_in_order(islice(logs, b - a + 1)) for a, b in zip(bounds, bounds[1:])]
 
     def logprob(self, seq: TokenSequence) -> float:
         """Natural-log probability of ``seq`` including its end event."""

@@ -93,6 +93,22 @@ def bpe_encode_stepwise(base_size, merges, seq):
         out[i : i + 2] = [base_size + r]
 
 
+def bpe_decode_naive(base_size, merges, seq):
+    """Reference decoder: expand each unit with its own stack, left operand first."""
+    out = []
+    for unit in seq:
+        stack = [unit]
+        while stack:
+            u = stack.pop()
+            if u < base_size:
+                out.append(int(u))
+            else:
+                a, b = merges[u - base_size]
+                stack.append(b)
+                stack.append(a)
+    return out
+
+
 # -------------------------------------------------------------- k-means ----
 
 def nearest_centroid_bruteforce(features, centroids):

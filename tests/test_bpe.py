@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from abpe import BpeModel, Corpus, FormatError, SynthSpec, dump_tokens
+from abpe.corpus import IdRangeError
 
 from oracles import (
     bpe_encode_stepwise,
@@ -72,6 +73,24 @@ def test_decode_rejects_out_of_range():
     model = BpeModel(2, [(0, 1)])
     with pytest.raises(ValueError, match="out of range"):
         model.decode([3])
+
+
+def test_decode_corpus_takes_a_plain_list():
+    model = BpeModel(2, [(0, 1)])
+    assert model.decode_corpus([[2, 0], [], [1, 2]]) == Corpus([[0, 1, 0], [], [1, 0, 1]], 2)
+
+
+def test_decode_corpus_names_the_utterance_of_a_bad_id():
+    model = BpeModel(2, [(0, 1)])
+    with pytest.raises(IdRangeError, match="^id 5 at position 1 out of range$") as exc:
+        model.decode_corpus(Corpus([[0, 2], [1, 5]], 6))
+    assert exc.value.index == 1
+
+
+def test_decode_returns_plain_ints():
+    model = BpeModel(2, [(True, 0)])  # a bool operand is the id 1
+    out = model.decode([np.int64(1), 2, True])
+    assert out == [1, 1, 0, 1] and {type(t) for t in out} == {int}
 
 
 def test_unit_len_tracks_merge_tree():
@@ -190,7 +209,6 @@ def test_no_merge_crosses_an_utterance_boundary():
 
 def test_corpus_longer_than_one_encoding_block_matches_oracle():
     from abpe.corpus import _BLOCK_TOKENS
-    from abpe.corpus import IdRangeError
 
     corpus = synth_corpus(SynthSpec(8, 450, (30, 50), 6, (3, 6), 0.6, 1.2, seed=5))
     assert corpus.total_tokens() > _BLOCK_TOKENS

@@ -195,6 +195,8 @@ _ID_SITES = {
                "utterance 1: id {id} outside [0, 3)"),
     "encode": (3, _BPE.encode, "id {id} at position 1 is outside the base alphabet"),
     "decode": (4, _BPE.decode, "id {id} at position 1 out of range"),
+    "decode_corpus": (4, _names_sequence(1, lambda s: _BPE.decode_corpus([[0], s])),
+                      "id {id} at position 1 out of range"),
     "logprob": (3, _LM.logprob, "id {id} at position 1 out of vocabulary"),
     # the bad id in a later sequence of a batch: -1 is reported, never read as a begin marker
     "logprobs": (3, _names_sequence(2, lambda s: _LM.logprobs([[0], [], s, [1]])),

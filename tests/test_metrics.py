@@ -188,6 +188,11 @@ class TestVert:
         assert report.auto_bleu == 0.25
         assert report.vert == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("n", [True, np.int64(2)])
+    def test_reports_the_checked_n(self, n):
+        report = vert([[1, 2, 3], [1, 2, 4]], n)
+        assert type(report.n) is int and report.n == n
+
     def test_square_identity(self):
         rng = np.random.default_rng(54)
         for _ in range(30):

@@ -24,6 +24,7 @@ from abpe.corpus import IdRangeError
 from abpe.kmeans import _nearest, _plusplus_init
 
 from oracles import (
+    bpe_decode_naive,
     bpe_encode_stepwise,
     bpe_pair_counts,
     bpe_train_merges,
@@ -97,6 +98,61 @@ def test_encode_matches_stepwise_oracle(case):
 
 
 @st.composite
+def random_models(draw):
+    """A model of up to 12 random merges over 1-4 base units: many (a, a), some operands
+    written as bools."""
+    base = draw(st.integers(1, 4))
+    merges = []
+    for _ in range(draw(st.integers(0, 12))):
+        unit = st.integers(0, base + len(merges) - 1)
+        a = draw(unit)
+        pair = (a, draw(st.one_of(st.just(a), unit)))
+        if pair not in merges:
+            merges.append(tuple(bool(x) if x < 2 and draw(st.booleans()) else x for x in pair))
+    return BpeModel(base, merges)
+
+
+@st.composite
+def chain_models(draw):
+    """A model whose last unit tops a chain of 100-150 merges, each of the unit before and a
+    base unit on a drawn side, over a few other merges."""
+    base = draw(st.integers(1, 3))
+    merges = [(0, base - 1)]
+    for left in draw(st.lists(st.booleans(), min_size=99, max_size=149)):
+        unit = draw(st.integers(0, base - 1))
+        top = base + len(merges) - 1
+        merges.append((top, unit) if left else (unit, top))
+    return BpeModel(base, merges)
+
+
+@st.composite
+def decode_cases(draw, models):
+    """A model and a corpus of its units, possibly empty, with empty utterances among them."""
+    model = draw(models)
+    unit = st.integers(0, model.vocab_size - 1)
+    top = st.just(model.vocab_size - 1)  # the deepest unit of a chain
+    return model, draw(st.lists(st.lists(st.one_of(unit, top), max_size=12), max_size=6))
+
+
+_DECODE_INPUTS = {
+    "Corpus": lambda utts, vocab: Corpus(utts, vocab),
+    "list": lambda utts, vocab: utts,
+    "numpy": lambda utts, vocab: [np.array(u, dtype=np.int64) for u in utts],
+}
+
+
+@pytest.mark.parametrize("kind", list(_DECODE_INPUTS))
+@PROFILE
+@given(st.one_of(decode_cases(random_models()), decode_cases(chain_models())))
+def test_decode_corpus_matches_naive_oracle(kind, case):
+    model, utts = case
+    decoded = model.decode_corpus(_DECODE_INPUTS[kind](utts, model.vocab_size))
+    want = [bpe_decode_naive(model.base_size, model.merges, u) for u in utts]
+    assert decoded.utterances == want and decoded.vocab_size == model.base_size
+    assert [model.decode(u) for u in utts] == want
+
+
+@st.composite
 def models_and_corpora(draw):
     """A model trained on a drawn corpus over 1-4 symbols (0 merges among
     them), and a corpus over its base alphabet to encode. Sorted utterances
@@ -128,6 +184,13 @@ def test_pair_counts_match_oracle(corpus):
     for utt in corpus.utterances:
         _count_pairs(utt, counts)
     assert counts == bpe_pair_counts(corpus.utterances)
+    # the trainer's one stream, -1 around each utterance: the same counts, and every position
+    stream = [-1] + [t for u in corpus.utterances for t in u + [-1]]
+    counts = {}
+    where = _count_pairs(stream, counts)
+    assert counts == bpe_pair_counts(corpus.utterances)
+    pairs = list(zip(stream, stream[1:]))
+    assert where == {pair: [p for p, q in enumerate(pairs) if q == pair] for pair in counts}
 
 
 @PROFILE

@@ -168,6 +168,15 @@ def test_train_rejects_non_finite_params(add_k, weights):
                          interpolation_weights=weights)
 
 
+def test_train_normalises_weights_by_their_left_to_right_sum():
+    # sum() compensates from Python 3.12 and would give 0.6 here, and 0.5 for the last weight
+    total = (0.1 + 0.2) + 0.3
+    assert total == 0.6000000000000001
+    model = NgramModel.train(Corpus([[0, 1, 0]], 2), order=3, interpolation_weights=(0.1, 0.2, 0.3))
+    assert model.weights == (0.1 / total, 0.2 / total, 0.3 / total)
+    assert model.weights[2] == 0.4999999999999999
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 5])
 def test_generate_matches_greedy_oracle_at_every_order(order):
     rng = np.random.default_rng(38)
