@@ -31,20 +31,23 @@ pair has a rank. That equals replaying the merges in rank order, the
 training-time segmentation: merge r creates unit base+r, so no pair of rank
 <= r can appear after it. The encoder runs it on a whole corpus at once, as
 one int64 stream with a separator id before every utterance and after the
-last, in blocks of whole utterances. Each round looks up the rank of every
-adjacent pair with one ``searchsorted`` and merges two kinds of site: each
-utterance's lowest-rank sites, which is one step of the rule, and every
-sealed site. A site (a, b) of rank r is sealed when no merge of rank below r
-has a as its right operand or b as its left operand. Then no earlier merge
-can take either token, and a unit made beside it pairs with it only at a
-rank above r, so the replay merges this site at step r whatever happens
-around it; merging it now changes nothing else. Picked sites overlap only
-in a run of one pair (a, a). The run takes every other site from its start,
-as the replay does: all copies of a unit in an utterance are made in one
-round, so none can join the run later. An utterance leaves the stream once
-no pair in it has a rank. Merging every site below both neighbours' ranks
-instead would be wrong: in ``0 0 44 48``, merging (44, 48) can make a pair
-with 0 that outranks (0, 0).
+last, in blocks of whole utterances, and keeps beside the stream the rank of
+every adjacent pair (site), looked up once per block with one ``searchsorted``.
+Each round merges two kinds of site: each utterance's lowest-rank sites,
+which is one step of the rule, and every sealed site. A site (a, b) of rank r
+is sealed when no merge of rank below r has a as its right operand or b as its
+left operand. Then no earlier merge can take either token, and a unit made
+beside it pairs with it only at a rank above r, so the replay merges this site
+at step r whatever happens around it; merging it now changes nothing else.
+Picked sites overlap only in a run of one pair (a, a). The run takes every
+other site from its start, as the replay does: all copies of a unit in an
+utterance are made in one round, so none can join the run later. Merging every
+site below both neighbours' ranks instead would be wrong: in ``0 0 44 48``,
+merging (44, 48) can make a pair with 0 that outranks (0, 0). A round drops
+each merged site's right token and its rank, and looks up again only the two
+sites that now hold the new unit. Every utterance stays in the stream until a
+round picks no site, so each round passes over its whole block (up to
+``_BLOCK_TOKENS`` ids), n rounds for a unit made by a chain of n merges.
 Decoding writes every merged unit of a corpus as its two operands, one round
 per level of its deepest merge tree, so decode(encode(x)) == x.
 
@@ -277,43 +280,36 @@ class BpeModel:
         at = sep.nonzero()[0]
         return Corpus._of(t[~sep], at - np.arange(len(at)), self.vocab_size)
 
+    def _ranks(self, t: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The rank of the pair that starts at each position ``at`` of ``t``."""
+        code = t[at] * self._width + t[at + 1]
+        return self._rank_at[self._bounds.searchsorted(code, "right")]
+
     def _encode_block(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Encode checked utterances of base ids in one stream; each returns after a separator."""
-        sep = self.vocab_size
+        """Encode checked utterances of base ids in one stream, each after a separator, until a
+        round picks no site; ``rank[p]`` is the rank of the site (pair) that starts at ``p``."""
+        sep, none = self.vocab_size, len(self.merges)
         t = _id_stream(ids, offsets, [sep], [sep])
-        finished, owners = [t[:0]], [t[:0]]  # each finished utterance's separator and units
-        active = np.arange(len(offsets) - 1)  # the utterances still in the stream
-        none = len(self.merges)
-        at = (t == sep).nonzero()[0]
-        while len(active):
-            # utterance i spans t[at[i]:at[i + 1]], its separator first;
-            # sites (pairs) are indexed by their left position
-            starts = at[:-1]
-            span = at[1:] - starts
-            code = t[:-1] * self._width + t[1:]
-            rank = self._rank_at[self._bounds.searchsorted(code, "right")]
-            lowest = np.minimum.reduceat(rank, starts)
-            done = lowest == none
-            keep = np.ones(len(t), dtype=bool)
-            if np.count_nonzero(done):
-                leaving = done.repeat(span)
-                finished.append(t[:-1][leaving])
-                owners.append(active[done].repeat(span[done]))
-                keep[:-1] = ~leaving
-                active = active[~done]
-                lowest[done] = -1  # picks no site
-            site = (self._sealed[rank] | (rank == lowest.repeat(span))).nonzero()[0]
+        rank = self._ranks(t, np.arange(len(t) - 1))
+        while True:
+            at = (t == sep).nonzero()[0]  # utterance i spans t[at[i]:at[i + 1]]
+            lowest = np.minimum.reduceat(rank, at[:-1])
+            lowest[lowest == none] = -1  # picks no site
+            site = (self._sealed[rank] | (rank == lowest.repeat(at[1:] - at[:-1]))).nonzero()[0]
+            if not len(site):
+                return t[:-1]
             step = site[1:] - site[:-1]
             if np.count_nonzero(step == 1):
                 # a run of one pair (a, a): take every other site from its start
                 run_start = np.maximum.accumulate(np.where(np.append(True, step != 1), site, 0))
                 site = site[(site - run_start) % 2 == 0]
             t[site] = self.base_size + rank[site]
+            keep = np.ones(len(t), dtype=bool)
             keep[site + 1] = False
-            t = t[keep]
-            at = (t == sep).nonzero()[0]
-        # in utterance order: a stable sort keeps each utterance's units in theirs
-        return np.concatenate(finished)[np.concatenate(owners).argsort(kind="stable")]
+            t, rank = t[keep], rank[keep[:-1]]
+            site -= np.arange(len(site))  # its new place: each earlier site dropped one token
+            beside = np.concatenate((site - 1, site))  # the two sites that hold each new unit
+            rank[beside] = self._ranks(t, beside)
 
     def decode_corpus(self, corpus: Corpus | list[TokenSequence]) -> Corpus:
         """Expand every utterance of a corpus, or of a list of sequences, to base ids; an id

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bpe import BpeModel
 from .corpus import IdRangeError, TokenSequence, _check_size
 
@@ -62,12 +64,13 @@ def rescore(
     seqs = candidates.candidates
     try:
         if bpe is not None:
-            seqs = bpe.encode_corpus(seqs).utterances
+            seqs = bpe.encode_corpus(seqs)
         scores = model.logprobs(seqs)
     except IdRangeError as exc:
         raise ValueError(f"candidate {exc.index}: {exc}") from None
     if length_norm:
-        scores = [score / len(seq) for score, seq in zip(scores, seqs)]
+        lengths = np.diff(seqs.offsets).tolist() if bpe is not None else map(len, seqs)
+        scores = [score / n for score, n in zip(scores, lengths)]
     return RescoreResult.from_scores(scores)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from abpe import BpeModel, Corpus, FormatError, NgramModel, load_tokens, save_tokens, slm
+from abpe import corpus as corpus_module
 from abpe.bpe import _count_pairs
 from abpe.codec import _read_unicode
 from abpe.corpus import IdRangeError
@@ -166,15 +167,43 @@ def models_and_corpora(draw):
     return model, Corpus(draw(st.lists(utt, max_size=8)), vocab)
 
 
-@PROFILE
-@given(models_and_corpora())
-def test_encode_corpus_matches_stepwise_oracle(case):
-    model, corpus = case
+def _check_encode_corpus(model, corpus):
     encoded = model.encode_corpus(corpus).utterances
     assert encoded == [bpe_encode_stepwise(model.base_size, model.merges, u)
                        for u in corpus.utterances]
     # and no merge crosses an utterance boundary
     assert encoded == [model.encode_corpus([u]).utterances[0] for u in corpus.utterances]
+
+
+@PROFILE
+@given(models_and_corpora())
+def test_encode_corpus_matches_stepwise_oracle(case):
+    _check_encode_corpus(*case)
+
+
+@st.composite
+def chain_corpora(draw):
+    """A chain model and a corpus over its base alphabet: the top unit of the chain spelled
+    in base units, which takes up to 150 rounds to encode, beside short and empty
+    utterances that finish in a few."""
+    model = draw(chain_models())
+    utts = draw(st.lists(st.lists(st.integers(0, model.base_size - 1), max_size=4),
+                         max_size=6))
+    utts.insert(draw(st.integers(0, len(utts))), model.decode([model.vocab_size - 1]))
+    return model, Corpus(utts, model.base_size)
+
+
+@PROFILE
+@given(chain_corpora())
+def test_encode_corpus_matches_stepwise_oracle_as_utterances_finish_apart(case):
+    _check_encode_corpus(*case)
+
+
+@PROFILE
+@given(st.one_of(models_and_corpora(), chain_corpora()))
+def test_encode_corpus_matches_stepwise_oracle_over_several_blocks(case):
+    with mock.patch.object(corpus_module, "_BLOCK_TOKENS", 8):
+        _check_encode_corpus(*case)
 
 
 @PROFILE

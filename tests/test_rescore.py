@@ -73,6 +73,23 @@ def test_length_norm_divides_by_length():
     assert normed.scores[1] == pytest.approx(raw.scores[1] / 1)
 
 
+def test_length_norm_with_bpe_divides_by_encoded_length():
+    base = Corpus([[0, 1, 0, 1], [0, 1]], 2)
+    bpe = BpeModel.train(base, 3)
+    model = NgramModel.train(bpe.encode_corpus(base), order=2, add_k=0.1)
+    cands = CandidateSet([[0, 1, 0, 1, 1], [1, 0, 1]])  # encoded: [2, 2, 1] and [1, 2]
+    raw = rescore(model, cands, bpe=bpe)
+    normed = rescore(model, cands, length_norm=True, bpe=bpe)
+    assert normed.scores == [raw.scores[0] / 3, raw.scores[1] / 2]
+
+
+def test_rescore_bpe_vocabulary_above_the_model_names_the_candidate():
+    model = NgramModel.train(Corpus([[0, 1]], 2), order=1, add_k=0.1)
+    bpe = BpeModel(2, [(0, 1)])
+    with pytest.raises(ValueError, match=r"^candidate 1: id 2 at position 1 out of vocabulary$"):
+        rescore(model, CandidateSet([[1, 0], [1, 0, 1]]), bpe=bpe)
+
+
 def test_duplicated_candidate_selects_first():
     model = NgramModel.train(Corpus([[0, 1]], 2), order=2, add_k=0.1)
     result = rescore(model, CandidateSet([[0, 1], [0, 1], [0, 1]]))
