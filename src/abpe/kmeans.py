@@ -11,6 +11,7 @@ then k*dim little-endian float32 centroid values, row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,74 @@ def _as_features(features, dim: int | None = None) -> np.ndarray:
 
 
 def _rounding_bound(dim: int, sq_norms):
-    """How far the screen ``‖a‖² − 2a·b + ‖b‖²`` may lie from the exact
-    ``((a - b) ** 2).sum()``, both in float64 and each in any summation
-    order, for vectors of length ``dim`` with ``sq_norms = ‖a‖² + ‖b‖²``:
-    ``4·(dim+4)·(eps·sq_norms + smallest subnormal)``, that is both formulas'
-    rounding relative to ``sq_norms`` plus underflow, with room to spare.
+    """How far the float32 screen may lie from the exact distance:
+    ``3·(dim+8)·u·sq_norms + dim·2^-144`` with ``u = 2^-24``, infinite for
+    ``dim > 2^21``.
+
+    The screen works on float32 copies ``a = fl32(fl64(x - m)·2^e)`` of a row
+    ``x`` and ``w`` of a centroid ``c`` (``_screened``, with any float64 ``m``
+    and ``e`` from ``_scale_exponent``). Let ``p``, ``q`` and ``G`` be float32
+    sums of the ``a_i²``, the ``w_i²`` and the ``a_i·w_i``, each added up in any
+    order, by any BLAS kernel, with or without FMA (``2G`` may also be summed
+    from the products ``a_i·(-2w_i)``); ``sq_norms = p + q``; and
+    ``E = ((x - c) ** 2).sum()`` in float64. Then
+    ``|4^e·E - (p + q - 2G)| <= bound``. In reals, with ``y = (x - m)·2^e``,
+    ``z = (c - m)·2^e``, ``T = ‖y‖² + ‖z‖²`` and ``v = 2^-53``:
+
+    - ``4^e·E*`` is ``‖y - z‖² <= 2T`` for the real distance ``E*``, and
+      ``‖a - w‖² = ‖a‖² + ‖w‖² - 2a·w``, both exactly.
+    - The float64 formula: each term of ``E`` meets at most ``dim + 2``
+      roundings of size ``v``, and a square may lose ``2^-1075`` to underflow, so
+      ``4^e·|E - E*| <= 2^-31·T + 4^e·dim·2^-1074 <= 2^-31·T + dim·2^-146``,
+      as ``e <= 464``.
+    - The copies: the float64 centring rounds by ``v``, the scaling is exact
+      or underflows in float64, and float32 rounds by ``u`` or underflows by
+      ``2^-150``, so ``|a_i - y_i| <= (u + 2v)·|y_i| + 2^-149``, likewise for
+      ``w``. With ``r = (a - w) - (y - z)``, ``|‖a - w‖² - ‖y - z‖²|`` is at
+      most ``2‖y - z‖·‖r‖ + ‖r‖²`` and
+      ``‖r‖ <= (u + 2v)·(‖y‖ + ‖z‖) + 2^-148·√dim``: at most
+      ``4.01·u·T + dim·2^-260``.
+    - The float32 sums: every product meets at most ``dim`` roundings in any
+      order of the additions, so each sum is off by at most
+      ``γ = dim·u / (1 - dim·u)`` of the sum of its terms' magnitudes, plus
+      ``2^-150`` per product that underflows (an addition never does). With
+      ``Σ|a_i·w_i| <= (‖a‖² + ‖w‖²)/2``, ``p + q - 2G`` is within
+      ``2γ·(‖a‖² + ‖w‖²) + dim·2^-147.5`` of ``‖a - w‖²``.
+
+    Going back from ``T`` to ``‖a‖² + ‖w‖²`` costs a factor ``1 + 3u``, and from
+    that to ``p + q`` a factor ``1 / (1 - γ)``. For ``dim·u <= 1/8``, so
+    ``γ <= 1/7``, the sum is at most ``(8/3·dim + 4.8)·u·(p + q) + dim·2^-145``.
+    The bound is larger by ``(dim/3 + 19)·u·(p + q) + dim·2^-145``: room for the
+    few float32 or float64 roundings that each caller adds on its way to a
+    threshold.
     """
-    fin = np.finfo(np.float64)
-    return 4 * (dim + 4) * (fin.eps * sq_norms + fin.smallest_subnormal)
+    if dim > 2**21:
+        return np.inf
+    return 3 * (dim + 8) * 2.0**-24 * sq_norms + dim * 2.0**-144
+
+
+def _scale_exponent(dim: int, mean: np.ndarray, *arrays: np.ndarray) -> int:
+    """The ``e`` for ``_screened``: every ``fl64(a - mean)·2^e`` lies within
+    ``±2^t``, ``t = (126 - L) // 2`` for ``dim < 2^L``, so the float32 sums of
+    ``dim`` such products, doubled and plus a squared norm, stay below ``2^128``.
+    ``e`` stops at 464, so that the float64 formula's own underflow, scaled by
+    ``4^e``, stays below ``dim·2^-146`` (see ``_rounding_bound``).
+    """
+    # rounding is monotone, so no |fl64(a - mean)| exceeds this
+    spread = max(max(a.max() - mean.min(), mean.max() - a.min()) for a in arrays)
+    return min((126 - dim.bit_length()) // 2 - math.frexp(spread)[1], 464)
+
+
+def _screened(a: np.ndarray, mean: np.ndarray, e: int) -> np.ndarray:
+    """The float32 screen copy ``fl32(fl64(a - mean)·2^e)`` of ``a``."""
+    return np.multiply(a - mean, 2.0**e, out=np.empty(a.shape, np.float32), casting="same_kind")
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``((a - b) ** 2).sum(axis=1)``, bit for bit, computed in ``a``'s memory."""
+    a -= b
+    a *= a
+    return np.add.reduce(a, axis=1)
 
 
 # doubles per temporary array in _nearest (about 4 MB)
@@ -50,34 +111,37 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``((row - c) ** 2).sum()`` over the centroids, and the distance is that
     expression's value for the label, bit for bit, whatever the BLAS.
 
-    Each block of rows is screened with one matmul, ``‖x‖² − 2x·cᵀ + ‖c‖²``,
-    which is within ``bound = _rounding_bound(dim, ‖x‖² + max‖c‖²)`` of the
-    exact value, so a centroid screened more than ``2·bound`` above the row's
-    screened minimum cannot be (or tie) the exact nearest. The centroids left,
-    one per row unless the row is near a tie, get the exact formula, and the
-    row takes the lowest index among their minima; that value is the returned
-    distance.
-    Values within the float32 range cannot overflow any of this in float64.
-    Every temporary holds at most about ``_BLOCK`` doubles.
+    Rows and centroids are screened on float32 copies centred on the
+    centroids' mean: one matmul gives ``‖c‖² - 2x·c`` per pair, which after
+    the row's own ``‖x‖²`` is within ``bound = _rounding_bound(dim, ‖x‖² +
+    max‖c‖²)`` of the exact value, scaled. A centroid screened more than
+    ``2·bound`` above the row's screened minimum cannot be (or tie) the exact
+    nearest. The centroids left, one per row unless the row is near a tie,
+    get the exact formula, and the row takes the lowest index among their
+    minima; that value is the returned distance.
+    Every temporary holds at most about ``_BLOCK`` doubles, beside the
+    centroids' float32 copy.
     """
     n, dim = x.shape
     k = centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    cc = (centroids**2).sum(axis=1)
+    mean = centroids.mean(axis=0)
+    e = _scale_exponent(dim, mean, x, centroids)
+    cs = _screened(centroids, mean, e)
+    cc = np.einsum("ij,ij->i", cs, cs)
+    cs *= -2
     step = max(1, _BLOCK // max(k, dim))
     pairs_step = max(1, _BLOCK // dim)
     for s in range(0, n, step):
         xb = x[s : s + step]
-        xx = (xb**2).sum(axis=1)
-        d = xb @ centroids.T
-        d *= -2.0
-        d += xx[:, None]
+        xs = _screened(xb, mean, e)
+        d = xs @ cs.T
         d += cc
-        bound = _rounding_bound(dim, xx + cc.max())
-        rows, cols = np.nonzero(d <= (d.min(axis=1) + 2.0 * bound)[:, None])
+        bound = _rounding_bound(dim, np.einsum("ij,ij->i", xs, xs) + cc.max())
+        rows, cols = np.divmod(np.flatnonzero(d <= (d.min(axis=1) + 2 * bound)[:, None]), k)
         exact = np.concatenate([
-            ((xb[rows[a : a + pairs_step]] - centroids[cols[a : a + pairs_step]]) ** 2).sum(axis=1)
+            _sq_dists(xb[rows[a : a + pairs_step]], centroids[cols[a : a + pairs_step]])
             for a in range(0, rows.size, pairs_step)
         ])
         # pairs come by row, then index, and the sort is stable: sorted by row,
@@ -99,18 +163,24 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
     seed would give it.
 
     A new seed ``s`` can change only the rows whose exact distance to it is
-    below their ``d2``. One matvec screens every row with
-    ``‖x‖² − 2x·s + ‖s‖²``, which lies within
-    ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance, so
-    a row screened above ``d2 + 2·bound`` cannot fall, nor can a row whose
-    ``d2`` is already ``+0.0``. Only the rows left get the exact formula and
-    take its minimum with ``d2``.
+    below their ``d2``. One float32 matvec over copies centred on the rows'
+    mean screens every row: ``‖x‖² - 2x·s + ‖s‖²`` lies within
+    ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance,
+    scaled, so a row is left only if the screen minus ``bound`` is below its
+    scaled ``d2``. As the bound is affine in the norms, that test is
+    ``x·s >= lo + lo[s] - 4^e·d2/2`` with ``lo = (‖x‖² - bound(2‖x‖²)/2)/2``
+    per row. Only the rows left get the exact formula and take its minimum
+    with ``d2``.
 
     Once every ``d2`` is zero it stays zero and the rng is not drawn again:
     the remaining seeds are the lowest unused rows, in order.
     """
     n, dim = x.shape
-    xx = (x**2).sum(axis=1)
+    mean = x.mean(axis=0)
+    e = _scale_exponent(dim, mean, x)
+    xs = _screened(x, mean, e)
+    xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
+    lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
     chosen = [int(rng.integers(0, n))]
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
@@ -123,11 +193,8 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
         u = rng.random() * total
         j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
         chosen.append(j)
-        screen = xx - 2.0 * (x @ x[j]) + xx[j]
-        rows = np.flatnonzero(
-            (screen <= d2 + 2.0 * _rounding_bound(dim, xx + xx[j])) & (d2 > 0.0)
-        )
-        d2[rows] = np.minimum(d2[rows], ((x[rows] - x[j]) ** 2).sum(axis=1))
+        rows = np.flatnonzero(xs @ xs[j] >= lo + lo[j] - np.ldexp(d2, 2 * e - 1))
+        d2[rows] = np.minimum(d2[rows], _sq_dists(x[rows], x[j]))
     return chosen
 
 
@@ -220,7 +287,7 @@ class KMeansModel:
         """Nearest-centroid id per feature row (ties to the lowest index)."""
         x = _as_features(features, dim=self.dim)
         labels, _ = _nearest(x, self.centroids)
-        return [int(c) for c in labels]
+        return labels.tolist()
 
     def to_bytes(self) -> bytes:
         return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids, "centroids")

@@ -128,21 +128,54 @@ def test_golden_fit_and_assign_on_a_mixture():
         "01cae560cd742f533dd34296ccea906f8dc923b341f6c0169c4cec847bfd9ff1")
 
 
-def test_golden_seeding_at_the_paper_shape():
-    """k-means++ seeds at k=500, dim 768 over 800 rows, generated as the
-    discretize-k500 benchmark generates its seed-1 fit rows (a 2000-component
-    float32 mixture, the first 800 of 2400 rows). The digest was recorded
-    with a full recompute of every row's distance per draw, so screening
-    must keep every draw."""
+def paper_shape_rows():
+    """2400 float32 rows of dim 768 from a 2000-component mixture, generated
+    as the discretize-k500 benchmark generates its seed-1 inputs: the first
+    800 are its fit rows, the other 1600 its held-out rows."""
     k, dim, n = 500, 768, 2400
     rng = np.random.default_rng([1, 768])
     means = rng.standard_normal((4 * k, dim), dtype=np.float32)
     rows = means[rng.integers(0, len(means), size=n)]
     rows += rng.standard_normal((n, dim), dtype=np.float32)
-    x = rows[:800].astype(np.float64)
-    seeds = _plusplus_init(x, k, np.random.default_rng(0))
+    return rows
+
+
+def test_golden_seeding_at_the_paper_shape():
+    """k-means++ seeds at k=500, dim 768 over the 800 fit rows. The digest
+    was recorded with a full recompute of every row's distance per draw, so
+    screening must keep every draw."""
+    x = paper_shape_rows()[:800].astype(np.float64)
+    seeds = _plusplus_init(x, 500, np.random.default_rng(0))
     assert hashlib.sha256(x[seeds].tobytes()).hexdigest() == (
         "6d4365aaeb3180f08907c3f987c0e659ca6da7c3376316852b46d0e8746825d1")
+
+
+def test_golden_seeding_at_the_paper_shape_off_the_origin():
+    """The same rows moved by a common offset of 100, recorded with the
+    float64 screen: a screen that rounds the offset instead of the spread
+    needs more exact rows here, and must still keep every draw."""
+    x = paper_shape_rows()[:800].astype(np.float64) + 100.0
+    seeds = _plusplus_init(x, 500, np.random.default_rng(0))
+    assert hashlib.sha256(repr(seeds).encode()).hexdigest() == (
+        "64c05023f999130c63865ef4607ab642fae6060136cbc7ae72db489ff1b7d61e")
+
+
+def test_golden_fit_and_assign_at_the_paper_shape():
+    """k=500 over the 800 fit rows, 2 iterations, then the 1600 held-out
+    rows assigned: the discretize-k500 benchmark's fit and assign, pinned by
+    digests recorded with the float64 screen."""
+    rows = paper_shape_rows()
+    model = KMeansModel.fit(rows[:800], 500, seed=0, max_iters=2, tol=0)
+
+    def sha(blob):
+        return hashlib.sha256(blob).hexdigest()
+
+    assert sha(model.to_bytes()) == (
+        "b056782bd70322dae9557886cee46c464f03eb57fe89d683cf9fc0147a442f7a")
+    assert sha(repr(model.inertia_per_iter).encode()) == (
+        "ae59747b7d5eadbe5a26122103be4033560d4406480c9656f31baaba976ee3b5")
+    assert sha(repr(model.assign(rows[800:])).encode()) == (
+        "24051eb3781e78370bb76a7fe7e074dfae7f813ee4f81376e213086d30a74317")
 
 
 def test_seeding_past_the_distinct_rows_takes_the_lowest_unused():

@@ -339,6 +339,20 @@ def test_nearest_matches_oracle_with_float32_centroids(case):
     check_nearest(*case)
 
 
+# powers of two that move k-means inputs to the ends of the float32 range:
+# float64 subnormals (the exact formula underflows to zero), float32
+# subnormals, and values whose squares overflow float32
+_MAGNITUDES = [2.0**-1070, 2.0**-140, 2.0**-120, 2.0**-60, 2.0**60, 2.0**120]
+
+
+@PROFILE
+@given(st.one_of(rows_and_centroids(), rows_and_centroids(st.floats(-100, 100, width=32))),
+       st.sampled_from(_MAGNITUDES))
+def test_nearest_matches_oracle_at_extreme_magnitudes(case, scale):
+    x, centroids = case
+    check_nearest(x * scale, centroids * scale)
+
+
 @st.composite
 def generation_cases(draw):
     """A model of order 1-5 over 2-4 symbols, 1-9 rows of (prompt, seed) with
@@ -408,6 +422,14 @@ def test_plusplus_init_matches_oracle(case, offset, seed):
 @given(seeding_cases(st.floats(-100, 100, width=32)), st.integers(0, 2**32 - 1))
 def test_plusplus_init_matches_oracle_with_float32_values(case, seed):
     check_seeding(*case, seed)
+
+
+@PROFILE
+@given(st.one_of(seeding_cases(), seeding_cases(st.floats(-100, 100, width=32))),
+       st.sampled_from(_MAGNITUDES), st.integers(0, 2**32 - 1))
+def test_plusplus_init_matches_oracle_at_extreme_magnitudes(case, scale, seed):
+    x, k = case
+    check_seeding(x * scale, k, seed)
 
 
 # ids of every integer type, below 6, and values near them that are not ids
