@@ -76,16 +76,16 @@ def _rounding_bound(dim: int, sq_norms):
     return 3 * (dim + 8) * 2.0**-24 * sq_norms + dim * 2.0**-144
 
 
-def _scale_exponent(dim: int, mean: np.ndarray, *arrays: np.ndarray) -> int:
+def _scale_exponent(mean: np.ndarray, *arrays: np.ndarray) -> int:
     """The ``e`` for ``_screened``: every ``fl64(a - mean)·2^e`` lies within
-    ``±2^t``, ``t = (126 - L) // 2`` for ``dim < 2^L``, so the float32 sums of
+    ``±2^t``, ``t = (126 - L) // 2`` for ``dim = mean.size < 2^L``, so the float32 sums of
     ``dim`` such products, doubled and plus a squared norm, stay below ``2^128``.
     ``e`` stops at 464, so that the float64 formula's own underflow, scaled by
     ``4^e``, stays below ``dim·2^-146`` (see ``_rounding_bound``).
     """
     # rounding is monotone, so no |fl64(a - mean)| exceeds this
     spread = max(max(a.max() - mean.min(), mean.max() - a.min()) for a in arrays)
-    return min((126 - dim.bit_length()) // 2 - math.frexp(spread)[1], 464)
+    return min((126 - mean.size.bit_length()) // 2 - math.frexp(spread)[1], 464)
 
 
 def _screened(a: np.ndarray, mean: np.ndarray, e: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     mean = centroids.mean(axis=0)
-    e = _scale_exponent(dim, mean, x, centroids)
+    e = _scale_exponent(mean, x, centroids)
     cs = _screened(centroids, mean, e)
     cc = np.einsum("ij,ij->i", cs, cs)
     cs *= -2
@@ -177,7 +177,7 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
     """
     n, dim = x.shape
     mean = x.mean(axis=0)
-    e = _scale_exponent(dim, mean, x)
+    e = _scale_exponent(mean, x)
     xs = _screened(x, mean, e)
     xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
     lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
