@@ -63,12 +63,13 @@ from collections import defaultdict
 
 import numpy as np
 
+from .codec import REGION_SIZE
 from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
                      _id_stream, _parse_id, _parse_ids, _read_records, _read_text, _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
-MAX_BASE_SIZE = 20992  # the Unicode interchange block is this wide
+MAX_BASE_SIZE = REGION_SIZE  # a base unit must fit the codec's block
 
 Pair = tuple[int, int]
 

@@ -292,7 +292,7 @@ def _cmd_metrics_syntax(args) -> None:
 def _cmd_metrics_xent(args) -> None:
     model = NgramModel.load(args.model)
     corpus = load_tokens(args.infile)
-    report = cross_entropy(corpus.utterances, model)
+    report = cross_entropy(corpus, model)
     _emit_metric("metrics-xent", asdict(report), args.out)
 
 

@@ -3,25 +3,24 @@
 The block U+4E00..U+9FFF holds exactly 20992 codepoints; id ``i`` maps to
 ``chr(0x4E00 + i)``. Token streams thereby become ordinary text that any
 line-based text tool can carry. Only base-alphabet ids fit in the block;
-merged units stay integers.
+merged units stay integers. Ids enter through ``corpus._as_corpus``, and a
+single sequence is written as a corpus of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import _SPACE, Corpus, _check_ids, _line_offsets, _read_corpus
+from .corpus import _SPACE, Corpus, _as_corpus, _line_offsets, _read_corpus
 
 REGION_BASE = 0x4E00
 REGION_LAST = 0x9FFF
 REGION_SIZE = REGION_LAST - REGION_BASE + 1  # 20992
-_CHARS = "".join(map(chr, range(REGION_BASE, REGION_LAST + 1)))  # indexed by any integer type
 _OVER_CAPACITY = "id {id} at position {pos} exceeds codec capacity {limit}"
 
 
 def tokens_to_unicode(seq: list[int]) -> str:
-    _check_ids([seq], REGION_SIZE, _OVER_CAPACITY)
-    return "".join([_CHARS[t] for t in seq])
+    return _unicode_lines([seq])[:-1]
 
 
 def unicode_to_tokens(text: str) -> list[int]:
@@ -33,9 +32,9 @@ def unicode_to_tokens(text: str) -> list[int]:
     return ids.tolist()
 
 
-def _unicode_lines(corpus: Corpus) -> str:
-    """Each sequence of ``corpus`` as ``tokens_to_unicode`` gives it, then a newline."""
-    _check_ids(corpus, REGION_SIZE, _OVER_CAPACITY)
+def _unicode_lines(seqs: Corpus | list[list[int]]) -> str:
+    """Each sequence of ``seqs``, a Corpus or sequences, as block characters, then a newline."""
+    corpus = _as_corpus(seqs, REGION_SIZE, _OVER_CAPACITY)
     codes = np.insert(corpus.ids + REGION_BASE, corpus.offsets[1:], ord("\n"))
     return codes.astype("<u4").tobytes().decode("utf-32-le")
 

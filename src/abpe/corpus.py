@@ -19,14 +19,15 @@ On-disk formats handled here:
 
 In memory a ``Corpus`` is one read-only int64 array of ids and the offsets
 of its sequences, which every layer reads. Four rules of the package live
-here. An id is an ``int`` or a numpy integer in ``[0, limit)``: ``_check_ids``
-is the one check of it and raises ``IdRangeError``. A ``Corpus`` is checked
-as it is built, and is not checked again below its vocab size; ``_id_stream``
-takes only checked ids. An integer parameter (a size, an order, a count) is
-an ``int``, a ``bool`` or a numpy integer, at least its minimum if it has
-one: ``_check_size`` is the one check of it and returns it as an ``int``.
-Floats are summed by ``_sum_in_order``, left to right on every Python.
-``_save`` writes every artifact file, whole or not at all.
+here. An id is an ``int`` or a numpy integer in ``[0, limit)``: ids enter
+through one gate, ``_as_corpus``, whose walker ``_check_ids`` raises
+``IdRangeError``. A ``Corpus`` is checked as it is built, and above the
+limit takes one bound test; ``_id_stream`` takes only ids that passed the
+gate. An integer parameter (a size, an order, a count) is an ``int``, a
+``bool`` or a numpy integer, at least its minimum if it has one:
+``_check_size`` is the one check of it and returns it as an ``int``. Floats
+are summed by ``_sum_in_order``, left to right on every Python. ``_save``
+writes every artifact file, whole or not at all.
 
 Loaders depend only on file bytes and ``synth_corpus`` only on its spec,
 so repeated calls give identical results.
@@ -134,18 +135,12 @@ class IdRangeError(ValueError):
         self.index = index
 
 
-def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
-    """The one id check: ``IdRangeError`` unless every id of ``seqs``, a ``Corpus`` or a list of
+def _check_ids(seqs: list, limit: int, message: str, first: int = 0) -> None:
+    """The walker of the id gate: ``IdRangeError`` unless every id of ``seqs``, a list of
     sequences, is an ``int`` or a numpy integer in ``[0, limit)``. ``message`` is formatted with
     the first bad ``id``, its position ``pos``, ``limit`` and its sequence's ``index`` counted
-    from ``first``, as the error's is. A Corpus is checked only if its vocab size exceeds
-    ``limit``; a 1-D integer array takes one dtype and bound test, and is walked if it fails."""
-    if isinstance(seqs, Corpus):
-        seqs = np.split(seqs.ids, seqs.offsets[1:-1]) if seqs.vocab_size > limit else []
+    from ``first``, as the error's is."""
     for i, seq in enumerate(seqs):
-        if (isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "iu"
-                and not ((seq < 0) | (seq >= limit)).any()):
-            continue
         rest = iter(seq)
         for t in rest:  # a bare loop, exact type first: faster than enumerate() or isinstance()
             if type(t) is not int and not isinstance(t, (int, np.integer)) or not 0 <= t < limit:
@@ -155,10 +150,12 @@ def _check_ids(seqs, limit: int, message: str, first: int = 0) -> None:
 
 
 def _as_corpus(seqs, limit: int, message: str) -> Corpus:
-    """``seqs``, a Corpus or sequences, as a Corpus whose ids pass ``_check_ids`` with ``limit``
-    and ``message``; sequences are flattened once."""
+    """The id gate: ``seqs``, a Corpus or sequences, as a Corpus whose ids pass ``_check_ids``
+    with ``limit`` and ``message``; a Corpus above ``limit`` is walked only if one bound test
+    fails, and sequences are flattened once."""
     if isinstance(seqs, Corpus):
-        _check_ids(seqs, limit, message)
+        if seqs.vocab_size > limit and seqs.ids.max(initial=0) >= limit:
+            _check_ids(seqs.utterances, limit, message)
         return seqs
     seqs = list(seqs)  # an iterator, too
     _check_ids(seqs, limit, message)

@@ -150,8 +150,7 @@ def vert(texts, n: int) -> VertReport:
 
 def cross_entropy(samples, reference) -> CrossEntropyReport:
     """Mean negative log-probability of the samples under ``reference``, in nats."""
-    samples = list(samples)
-    if not samples:
+    scores = reference.logprobs(samples)
+    if not scores:
         raise ValueError("no samples")
-    total = _sum_in_order(reference.logprobs(samples))
-    return CrossEntropyReport(n_samples=len(samples), entropy=-total / len(samples))
+    return CrossEntropyReport(n_samples=len(scores), entropy=-_sum_in_order(scores) / len(scores))

@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
-                     _id_stream, _save, _sum_in_order, _unpack_header)
+from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_size, _id_stream, _save,
+                     _sum_in_order, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -273,7 +273,7 @@ class NgramModel:
         Equal to ``logprobs``'s conditionals bit for bit: it walks the same
         context ids and adds the same weighted estimates in the same order.
         """
-        _check_ids([context], self.vocab_size, _OUT_OF_VOCAB)
+        context = _as_corpus([context], self.vocab_size, _OUT_OF_VOCAB).utterances[0]
         probs = self._order1_row()
         self._add_context(probs, context, np.empty_like(probs))
         return probs
@@ -293,7 +293,7 @@ class NgramModel:
         v1 = self.vocab_size + 1
         c = 0
         for i, t in enumerate(self._orders[1:], 1):
-            code = c * v1 + (int(context[-i]) + 1 if i <= len(context) else 0)  # np.int8 may wrap
+            code = c * v1 + (context[-i] + 1 if i <= len(context) else 0)
             c = int(t.ids[t.bounds.searchsorted(code, "right")])
             s, e = t.starts[c], t.starts[c + 1]
             part.fill(t.unseen[c])
@@ -332,13 +332,12 @@ class NgramModel:
         """
         if len(seeds) != len(prompts):
             raise ValueError(f"got {len(seeds)} seeds for {len(prompts)} prompts")
-        _check_ids(prompts, self.vocab_size, _OUT_OF_VOCAB)
+        outs = _as_corpus(prompts, self.vocab_size, _OUT_OF_VOCAB).utterances
         max_new = _check_size(max_new, "max_new", 0)
         if not temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if top_k is not None:
             top_k = _check_size(top_k, "top_k", 1)
-        outs = [list(p) for p in prompts]
         order1 = self._order1_row()
         with np.errstate(over="ignore"):  # a tiny temperature overflows logits to +-inf
             for start in range(0, len(outs), _ROW_BLOCK):

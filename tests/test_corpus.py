@@ -349,6 +349,31 @@ def test_the_id_rule_has_one_implementation():
     assert sites == {"corpus.py": ["_check_ids"]}
 
 
+def _callers(tree, name: str) -> set[str]:
+    """The dotted name, class included, of each function in ``tree`` that calls ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_ids_enter_through_one_gate():
+    # sequences of ids enter through _as_corpus; each merge's operands have a limit of their own
+    callers = set()
+    for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {path.stem + scope for scope in _callers(tree, "_check_ids")}
+    assert callers == {"corpus._as_corpus", "bpe.BpeModel.__init__"}
+
+
 def test_id_rule_guard_sees_each_mark():
     source = """
 def types(t):

@@ -30,7 +30,7 @@ from abpe import (
     vert,
 )
 from abpe.cli import _read_manifest, main
-from abpe.codec import _read_unicode
+from abpe.codec import _read_unicode, _unicode_lines
 from abpe.corpus import IdRangeError
 
 from oracles import bpe_apply_merge, random_small_corpus
@@ -259,6 +259,56 @@ def test_batched_sites_name_the_sequence_of_an_id_numpy_reads_as_an_integer(bad)
     with pytest.raises(IdRangeError, match=f"^id {bad} at position 2 out of vocabulary") as exc:
         _LM.logprobs([[0], [], [2, 0, bad]])
     assert exc.value.index == 2
+
+
+# site, its id limit, a call on many sequences, and the message for a bad id at position 1
+_CORPUS_SITES = {
+    "Corpus": (3, lambda seqs: Corpus(seqs, 3), "utterance 1: id {id} outside [0, 3)"),
+    "encode_corpus": (3, _BPE.encode_corpus, "id {id} at position 1 is outside the base alphabet"),
+    "decode_corpus": (4, _BPE.decode_corpus, "id {id} at position 1 out of range"),
+    "logprobs": (3, _LM.logprobs, "id {id} at position 1 out of vocabulary"),
+    "_unicode_lines": (REGION_SIZE, _unicode_lines,
+                       "id {id} at position 1 exceeds codec capacity 20992"),
+}
+
+
+@pytest.mark.parametrize("site", list(_CORPUS_SITES))
+def test_a_corpus_above_the_limit_is_checked_as_its_lists_are(site):
+    limit, call, message = _CORPUS_SITES[site]
+    utterances = [[0], [0, limit + 2], [limit + 3]]
+    for seqs in (Corpus(utterances, limit + 4), utterances):
+        with pytest.raises(IdRangeError,
+                           match="^" + re.escape(message.format(id=limit + 2)) + "$") as exc:
+            call(seqs)
+        assert exc.value.index == 1
+    assert call(Corpus([[0], [limit - 1]], limit + 4)) == call([[0], [limit - 1]])
+
+
+# a 1-D array, and whether the sites take it after [0]
+_ARRAYS = {
+    "int8": (np.array([1, 0], np.int8), True),
+    "int8 negative": (np.array([0, -1], np.int8), False),
+    "uint64 2**63": (np.array([0, 2**63], np.uint64), False),
+    "bool": (np.array([False, True]), False),
+    "object 1.0": (np.array([0, 1.0], object), False),
+}
+
+
+@pytest.mark.parametrize("array", list(_ARRAYS))
+@pytest.mark.parametrize("site", list(_CORPUS_SITES))
+def test_an_array_sequence_is_read_as_the_list_of_its_items(site, array):
+    _, call, _ = _CORPUS_SITES[site]
+    seq, taken = _ARRAYS[array]
+
+    def outcome(s):
+        try:
+            return call([[0], s])
+        except IdRangeError as exc:
+            return str(exc), exc.index
+
+    got = outcome(seq)
+    assert got == outcome(list(seq))
+    assert isinstance(got, tuple) != taken
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

@@ -240,3 +240,13 @@ class TestCrossEntropy:
         model = NgramModel.train(Corpus([[0]], 1), order=1, add_k=0.1)
         with pytest.raises(ValueError, match="samples"):
             cross_entropy([], model)
+        with pytest.raises(ValueError, match="^no samples$"):
+            cross_entropy(Corpus([], 1), model)
+
+    def test_a_corpus_an_iterator_and_a_list_give_one_report(self):
+        samples = [[0, 1], [1], []]
+        model = NgramModel.train(Corpus(samples, 2), order=2, add_k=0.1)
+        report = cross_entropy(samples, model)
+        assert report.n_samples == 3
+        assert cross_entropy(Corpus(samples, 2), model) == report
+        assert cross_entropy(iter(samples), model) == report

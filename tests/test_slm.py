@@ -234,6 +234,14 @@ def test_generate_many_over_more_than_one_row_block():
     assert len({len(g) - len(p) for g, p in zip(got, prompts)}) > 3
 
 
+def test_generate_returns_plain_ints():
+    model = NgramModel.train(Corpus([[0, 1, 1], [1, 0]], 2), order=2, add_k=0.1)
+    out = model.generate([np.int64(1), True], 3, seed=0)
+    assert out[:2] == [1, 1] and {type(t) for t in out} == {int}
+    many = model.generate_many([[np.int32(0)], np.array([1, 0])], 3, seeds=[0, 1])
+    assert {type(t) for seq in many for t in seq} == {int}
+
+
 def test_generate_many_needs_one_seed_per_prompt():
     model = NgramModel.train(Corpus([[0, 1]], 2), order=2, add_k=0.1)
     with pytest.raises(ValueError, match="^got 1 seeds for 2 prompts$"):
