@@ -65,7 +65,8 @@ import numpy as np
 
 from .codec import REGION_SIZE
 from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_ids, _check_size,
-                     _id_stream, _parse_id, _parse_ids, _read_records, _read_text, _save, _split)
+                     _code_table, _id_stream, _parse_id, _parse_ids, _read_records, _read_text,
+                     _save, _split)
 from .errors import FormatError
 
 MERGES_VERSION = 1
@@ -138,16 +139,12 @@ class BpeModel:
         sealed = (min_rank_as_right[left] >= rank) & (min_rank_as_left[right] >= rank)
         self._sealed = np.append(sealed, False)  # by rank
         # pair (a, b) has code a * _width + b; the separator, vocab_size, makes
-        # no code of a real pair. Each merge's code starts an interval of codes
-        # that holds its rank and code + 1 one that holds none (empty when the
-        # next code is code + 1), so a code's rank is
-        # _rank_at[searchsorted(_bounds, code, "right")].
+        # no code of a real pair. A code's rank, none for a pair that is no
+        # merge, is _rank_at[searchsorted(_bounds, code, "right")].
         self._width = self.vocab_size + 1
         codes = left * self._width + right
         order = np.argsort(codes)
-        self._bounds = np.stack((codes[order], codes[order] + 1), axis=1).ravel()
-        self._rank_at = np.full(2 * none + 1, none)
-        self._rank_at[1::2] = order
+        self._bounds, self._rank_at = _code_table(codes[order], order, none)
 
     @property
     def vocab_size(self) -> int:

@@ -191,6 +191,15 @@ def _blocks(corpus: Corpus):
         i = j
 
 
+def _code_table(codes: np.ndarray, values, missing: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bounds, table)``: ``table[bounds.searchsorted(code, "right")]`` is the value of ``code``
+    among the sorted, distinct int64 ``codes``, else ``missing``. Each code c starts an interval
+    that holds its value, and c + 1 one that holds ``missing`` (empty if c + 1 is a code)."""
+    table = np.full(2 * len(codes) + 1, missing)
+    table[1::2] = values
+    return np.stack((codes, codes + 1), axis=1).ravel(), table
+
+
 _SPACE = " \t\n\r\v\f"  # the ASCII whitespace that ``bytes.split`` splits on
 # the kind of each byte of a token file, for ``bytes.translate``: whitespace 0, digit 1, other 2
 _KIND = bytes(0 if chr(b) in _SPACE else 1 if b in b"0123456789" else 2 for b in range(256))
@@ -372,10 +381,6 @@ def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
     return values
 
 
-def _has_magic(blob: bytes, magic: bytes) -> bool:
-    return blob[: len(magic)] == magic
-
-
 def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: int,
                    origin: str) -> tuple:
     """The fields after magic and version of a binary header that starts ``blob``.
@@ -384,7 +389,7 @@ def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: in
     """
     if len(blob) < header.size:
         raise FormatError(f"{origin}: truncated header")
-    if not _has_magic(blob, magic):
+    if not blob.startswith(magic):
         raise FormatError(f"{origin}: bad magic {blob[: len(magic)]!r}")
     fields = header.unpack_from(blob)
     if fields[1] != version:
@@ -434,7 +439,7 @@ def load_features(path: str) -> FeatureMatrix:
     """Load a feature matrix from the binary format or CSV (autodetected)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if _has_magic(blob, FEATURE_MAGIC):
+    if blob.startswith(FEATURE_MAGIC):
         return _unpack_matrix(blob, FEATURE_MAGIC, FEATURE_VERSION, path)
     try:
         text = blob.decode("utf-8")

@@ -153,8 +153,10 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, dists
 
 
-def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007).
+def _plusplus_init(x: np.ndarray, k: int,
+                   rng: np.random.Generator) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007), then
+    ``_nearest(x, x[seeds])``: each row's nearest seed and squared distance.
 
     Each draw after the first picks a row with probability proportional to
     ``d2``, its squared distance to the nearest seed so far, so the draws
@@ -170,7 +172,8 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
     scaled ``d2``. As the bound is affine in the norms, that test is
     ``x·s >= lo + lo[s] - 4^e·d2/2`` with ``lo = (‖x‖² - bound(2‖x‖²)/2)/2``
     per row. Only the rows left get the exact formula and take its minimum
-    with ``d2``.
+    with ``d2``; a row whose ``d2`` falls takes the new seed as its label, so
+    a tie keeps the lowest seed index.
 
     Once every ``d2`` is zero it stays zero and the rng is not drawn again:
     the remaining seeds are the lowest unused rows, in order.
@@ -183,7 +186,8 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
     lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
     chosen = [int(rng.integers(0, n))]
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-    for _ in range(1, k):
+    labels = np.zeros(n, dtype=np.int64)
+    for t in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
             unused = np.ones(n, dtype=bool)
@@ -194,8 +198,10 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]
         j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
         chosen.append(j)
         rows = np.flatnonzero(xs @ xs[j] >= lo + lo[j] - np.ldexp(d2, 2 * e - 1))
-        d2[rows] = np.minimum(d2[rows], _sq_dists(x[rows], x[j]))
-    return chosen
+        exact = _sq_dists(x[rows], x[j])
+        labels[rows[exact < d2[rows]]] = t
+        d2[rows] = np.minimum(d2[rows], exact)
+    return chosen, labels, d2
 
 
 def _update_centroids(
@@ -268,19 +274,17 @@ class KMeansModel:
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
 
-        rng = np.random.default_rng(seed)
-        centroids = x[_plusplus_init(x, k, rng)]
-        history: list[float] = []
+        seeds, labels, dists = _plusplus_init(x, k, np.random.default_rng(seed))
+        centroids = x[seeds]
+        history = [float(dists.sum())]
         for _ in range(max_iters):
-            labels, dists = _nearest(x, centroids)
-            history.append(float(dists.sum()))
             updated = _update_centroids(x, labels, dists, k)
             shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
             centroids = updated
+            labels, dists = _nearest(x, centroids)
+            history.append(float(dists.sum()))
             if shift <= tol:
                 break
-        _, dists = _nearest(x, centroids)
-        history.append(float(dists.sum()))
         return cls(centroids=centroids, inertia_per_iter=tuple(history))
 
     def assign(self, features) -> list[int]:

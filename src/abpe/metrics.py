@@ -114,28 +114,24 @@ def self_bleu(texts, n: int) -> float:
             raise ValueError(f"text {i} of length {len(text)} has no {n}-grams")
         per_text.append(_ngram_counts(text, n))
 
-    # top-2 per gram gives max-over-other-texts without a quadratic pass
-    top1: dict[tuple, int] = {}
-    top1_holder: dict[tuple, int] = {}
-    top2: dict[tuple, int] = {}
+    # gram -> (largest count, second largest, text holding the largest): the
+    # largest count among the other texts without a quadratic pass
+    top: dict[tuple, tuple[int, int, int]] = {}
     for i, counts in enumerate(per_text):
         for gram, c in counts.items():
-            if c > top1.get(gram, 0):
-                top2[gram] = top1.get(gram, 0)
-                top1[gram] = c
-                top1_holder[gram] = i
-            elif c > top2.get(gram, 0):
-                top2[gram] = c
+            first, second, holder = top.get(gram, (0, 0, -1))
+            if c > first:
+                top[gram] = (c, first, i)
+            elif c > second:
+                top[gram] = (first, c, holder)
 
     precisions = []
     for i, counts in enumerate(per_text):
         clipped = 0
-        total = 0
         for gram, c in counts.items():
-            limit = top2[gram] if top1_holder[gram] == i else top1[gram]
-            clipped += min(c, limit)
-            total += c
-        precisions.append(clipped / total)
+            first, second, holder = top[gram]
+            clipped += min(c, second if holder == i else first)
+        precisions.append(clipped / counts.total())
     return _sum_in_order(precisions) / len(precisions)
 
 

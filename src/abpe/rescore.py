@@ -26,7 +26,7 @@ class CandidateSet:
         if n < 2:
             raise ValueError(f"need at least 2 candidates, got {n}")
         for i, cand in enumerate(self.candidates):
-            if not cand:
+            if len(cand) == 0:
                 raise ValueError(f"candidate {i} is empty")
         if self.human_ranks is not None and sorted(self.human_ranks) != list(
             range(1, n + 1)
@@ -42,7 +42,7 @@ class RescoreResult:
     @classmethod
     def from_scores(cls, scores: list[float]) -> "RescoreResult":
         """Argmax with ties broken toward the lowest index."""
-        if not scores:
+        if len(scores) == 0:
             raise ValueError("no scores")
         return cls(list(scores), max(range(len(scores)), key=scores.__getitem__))
 

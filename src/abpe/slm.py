@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_size, _id_stream, _save,
-                     _sum_in_order, _unpack_header)
+from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_size, _code_table,
+                     _id_stream, _save, _sum_in_order, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -71,8 +71,8 @@ class _Order(NamedTuple):
     """One order's sorted tables. An unseen context's id is the number of seen
     ones; ``grams`` and ``seen`` end in the row that an unseen n-gram maps to."""
 
-    bounds: np.ndarray  # each context code c, then c + 1, which starts a gap (maybe empty)
-    ids: np.ndarray  # searchsorted(bounds, code, "right") -> the id of the code's context
+    bounds: np.ndarray  # (bounds, ids) is the ``_code_table`` of the context codes:
+    ids: np.ndarray  # ids[searchsorted(bounds, code, "right")] -> the id of the code's context
     grams: np.ndarray  # n-gram codes, context id * (V+1) + event
     events: np.ndarray  # the event of each n-gram
     starts: np.ndarray  # context id -> its first n-gram; the unseen id's slice is empty
@@ -192,11 +192,8 @@ class NgramModel:
             owner = grams // v1
             den = np.append(np.bincount(ids, mass, len(contexts)) + smooth_mass, smooth_mass)
             seen = (np.bincount(at, mass, len(grams)) + self.add_k) / den[owner]
-            context_ids = np.full(2 * len(contexts) + 1, len(contexts))
-            context_ids[1::2] = np.arange(len(contexts))
             self._orders.append(_Order(
-                np.stack((contexts, contexts + 1), axis=1).ravel(),
-                context_ids,
+                *_code_table(contexts, np.arange(len(contexts)), len(contexts)),
                 np.append(grams, _CODE_MAX),
                 grams % v1,
                 np.searchsorted(owner, np.arange(len(contexts) + 2)),

@@ -145,7 +145,7 @@ def test_golden_seeding_at_the_paper_shape():
     was recorded with a full recompute of every row's distance per draw, so
     screening must keep every draw."""
     x = paper_shape_rows()[:800].astype(np.float64)
-    seeds = _plusplus_init(x, 500, np.random.default_rng(0))
+    seeds, _, _ = _plusplus_init(x, 500, np.random.default_rng(0))
     assert hashlib.sha256(x[seeds].tobytes()).hexdigest() == (
         "6d4365aaeb3180f08907c3f987c0e659ca6da7c3376316852b46d0e8746825d1")
 
@@ -155,7 +155,7 @@ def test_golden_seeding_at_the_paper_shape_off_the_origin():
     float64 screen: a screen that rounds the offset instead of the spread
     needs more exact rows here, and must still keep every draw."""
     x = paper_shape_rows()[:800].astype(np.float64) + 100.0
-    seeds = _plusplus_init(x, 500, np.random.default_rng(0))
+    seeds, _, _ = _plusplus_init(x, 500, np.random.default_rng(0))
     assert hashlib.sha256(repr(seeds).encode()).hexdigest() == (
         "64c05023f999130c63865ef4607ab642fae6060136cbc7ae72db489ff1b7d61e")
 
@@ -183,10 +183,38 @@ def test_seeding_past_the_distinct_rows_takes_the_lowest_unused():
     # zero, and the other nine seeds are the lowest unused rows
     rng = np.random.default_rng(13)
     x = rng.random((3, 5))[rng.integers(0, 3, 30)]
-    seeds = _plusplus_init(x, 12, np.random.default_rng(2))
+    seeds, _, _ = _plusplus_init(x, 12, np.random.default_rng(2))
     assert seeds == kmeans_plusplus_naive(x, 12, np.random.default_rng(2))
     assert len(np.unique(x[seeds[:3]], axis=0)) == 3
     assert seeds[3:] == sorted(set(range(30)) - set(seeds[:3]))[:9]
+
+
+def test_seeding_labels_a_tied_row_with_the_lowest_seed_index():
+    # rows 2 then 0 are drawn, and row 1 lies halfway between them
+    x = np.array([[0.0], [1.0], [2.0]])
+    seeds, labels, dists = _plusplus_init(x, 2, np.random.default_rng(0))
+    assert seeds == [2, 0]
+    assert labels.tolist() == [1, 0, 0]
+    assert dists.tolist() == [0.0, 1.0, 0.0]
+
+
+def test_fit_assigns_the_rows_once_per_iteration(monkeypatch):
+    """Seeding gives the first assignment, and each iteration's assignment to
+    its updated centroids gives the next inertia, the last the final one."""
+    calls = []
+
+    def counted(x, centroids):
+        calls.append(len(centroids))
+        return _nearest(x, centroids)
+
+    monkeypatch.setattr(kmeans, "_nearest", counted)
+    rng = np.random.default_rng(5)
+    x = blobs(rng, [(0, 0), (5, 5), (0, 5)], 20)
+    for max_iters, tol in ((1, 0.0), (3, 0.0), (100, 1e-6)):
+        calls.clear()
+        model = KMeansModel.fit(x, 3, seed=1, max_iters=max_iters, tol=tol)
+        assert len(calls) == model.n_iter == len(model.inertia_per_iter) - 1
+    assert model.n_iter < 100  # the last fit converged before its limit
 
 
 def test_empty_cluster_repair_moves_to_farthest_point():

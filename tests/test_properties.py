@@ -21,7 +21,7 @@ from abpe import BpeModel, Corpus, FormatError, NgramModel, load_tokens, save_to
 from abpe import corpus as corpus_module
 from abpe.bpe import _count_pairs
 from abpe.codec import _read_unicode
-from abpe.corpus import IdRangeError
+from abpe.corpus import IdRangeError, _code_table
 from abpe.kmeans import _nearest, _plusplus_init
 
 from oracles import (
@@ -244,6 +244,26 @@ def test_train_matches_oracle_on_run_corpora(corpus, extra):
 
 
 @PROFILE
+@given(st.lists(st.integers(1, 3), max_size=12), st.data())
+def test_code_table_is_a_dict_lookup(gaps, data):
+    """Codes from 0 with gaps of 1-3, so adjacent codes c, c + 1 are common,
+    each mapped to a distinct value; every query from one below the least
+    code to two above the largest finds its code's value, or ``missing``."""
+    codes = np.array([0] + gaps, dtype=np.int64).cumsum()
+    values = np.array(data.draw(st.permutations(range(len(codes)))), dtype=np.int64)
+    bounds, table = _code_table(codes, values, len(codes))
+    lookup = dict(zip(codes.tolist(), values.tolist()))
+    queries = np.arange(codes[0] - 1, codes[-1] + 3)
+    assert (table[bounds.searchsorted(queries, "right")].tolist()
+            == [lookup.get(q, len(codes)) for q in queries.tolist()])
+
+
+def test_an_empty_code_table_maps_every_code_to_missing():
+    bounds, table = _code_table(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 7)
+    assert table[bounds.searchsorted([-1, 0, 5], "right")].tolist() == [7, 7, 7]
+
+
+@PROFILE
 @given(corpora(), st.integers(1, 4), st.data())
 def test_next_dist_sums_to_one(corpus, order, data):
     add_k = data.draw(st.floats(1e-3, 10.0))
@@ -404,9 +424,14 @@ def seeding_cases(draw, values=st.integers(-3, 3)):
 
 def check_seeding(x, k, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _plusplus_init(x, k, rng) == kmeans_plusplus_naive(x, k, oracle_rng)
+    chosen, labels, dists = _plusplus_init(x, k, rng)
+    assert chosen == kmeans_plusplus_naive(x, k, oracle_rng)
     # and the same number of draws from the rng
     assert rng.random() == oracle_rng.random()
+    # and the assignment to the seeds that fit starts Lloyd from, byte for byte
+    want_labels, want_dists = _nearest(x, x[chosen])
+    assert labels.tobytes() == want_labels.tobytes()
+    assert dists.tobytes() == want_dists.tobytes()
 
 
 @PROFILE

@@ -32,6 +32,19 @@ def test_candidate_set_validation():
     CandidateSet([[0], [1]], human_ranks=[2, 1])
 
 
+def test_emptiness_is_judged_by_length_not_by_truth_value():
+    # a numpy array is false when its one item is 0, and ambiguous from two items on
+    cands = CandidateSet([np.array([0]), np.array([1, 0])])
+    with pytest.raises(ValueError, match="candidate 1 is empty"):
+        CandidateSet([np.array([0]), np.array([], dtype=np.int64)])
+    assert RescoreResult.from_scores(np.array([0.0])).best_index == 0
+    assert RescoreResult.from_scores(np.array([-3.0, -1.0])).best_index == 1
+    with pytest.raises(ValueError, match="no scores"):
+        RescoreResult.from_scores(np.array([]))
+    model = NgramModel.train(Corpus([[0, 1], [1, 0, 0]], 2), order=2)
+    assert rescore(model, cands) == rescore(model, CandidateSet([[0], [1, 0]]))
+
+
 def test_rescore_scores_match_independent_logprob():
     rng = np.random.default_rng(41)
     corpus = random_small_corpus(rng, max_vocab=5, max_utts=6, max_len=8)
