@@ -57,6 +57,7 @@ FEATURE_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<8sIQQ")
 _F32_MAX = float(np.finfo(np.float32).max)
 _BLOCK_TOKENS = 16384  # a batched stream holds whole sequences up to this many ids
+_BLOCK = 500_000  # doubles per temporary of k-means assignment and sampling (about 4 MB)
 _VOCAB_MAX = 2**63 - 2  # so vocab_size + 1, the n-gram stream's shifted end event, fits int64
 _IN_CORPUS = "utterance {index}: id {id} outside [0, {limit})"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _check_matrix, _check_size, _pack_matrix, _save, _unpack_matrix
+from .corpus import _BLOCK, _check_matrix, _check_size, _pack_matrix, _save, _unpack_matrix
 
 KMEANS_MAGIC = b"ABPEKMNS"
 KMEANS_VERSION = 1
@@ -100,10 +100,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1)
 
 
-# doubles per temporary array in _nearest (about 4 MB)
-_BLOCK = 500_000
-
-
 def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: index of the nearest centroid and the squared distance to it.
 
@@ -119,8 +115,8 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     nearest. The centroids left, one per row unless the row is near a tie,
     get the exact formula, and the row takes the lowest index among their
     minima; that value is the returned distance.
-    Every temporary holds at most about ``_BLOCK`` doubles, beside the
-    centroids' float32 copy.
+    Every temporary holds at most about ``corpus._BLOCK`` doubles, beside
+    the centroids' float32 copy.
     """
     n, dim = x.shape
     k = centroids.shape[0]

@@ -24,12 +24,13 @@ whole sequences; ``next_dist`` walks the same ids for one context and
 scatters one slice per order onto a copy of the order-1 row.
 
 ``generate_many`` steps all its unfinished continuations in lockstep, a
-block of at most ``_ROW_BLOCK`` rows at a time: each step walks every row's
-context into its own row of one ``(rows, V+1)`` array as ``next_dist``
-does, runs the sampling arithmetic (log, temperature, top-k, exp,
-normalisation, cumulative sum) once over the whole array, and draws each
-row's event with its own ``np.random.default_rng(seed)``. A row leaves
-the block at its end event, so every row samples as it would alone.
+block of as many rows as fit ``_BLOCK`` doubles (at least one) at a time:
+each step copies the order-1 row into every live row of one ``(rows, V+1)``
+array, walks each row's context into it as ``next_dist`` does, runs the
+sampling arithmetic (log, temperature, top-k, exp, normalisation,
+cumulative sum) once over the whole array, and draws each row's event with
+its own ``np.random.default_rng(seed)``. A row leaves the block at its end
+event, so every row samples as it would alone.
 
 Anything with ``logprobs``/``next_dist``/``generate_many`` and a
 ``vocab_size`` can stand in for this class downstream; nothing else in the
@@ -53,8 +54,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, TokenSequence, _as_corpus, _blocks, _check_size, _code_table,
-                     _id_stream, _save, _sum_in_order, _unpack_header)
+from .corpus import (_BLOCK, Corpus, TokenSequence, _as_corpus, _blocks, _check_size,
+                     _code_table, _id_stream, _save, _sum_in_order, _unpack_header)
 from .errors import FormatError
 
 NGRAM_MAGIC = b"ABPENGRM"
@@ -64,7 +65,6 @@ BOS = -1
 _FIXED_HEADER = struct.Struct("<8sIQId")
 _OUT_OF_VOCAB = "id {id} at position {pos} out of vocabulary"
 _CODE_MAX = 2**63 - 1  # int64 max; ``grams`` ends in it, as its unseen row
-_ROW_BLOCK = 64  # generate_many steps at most this many continuations at once
 
 
 class _Order(NamedTuple):
@@ -335,35 +335,30 @@ class NgramModel:
             raise ValueError("temperature must be >= 0")
         if top_k is not None:
             top_k = _check_size(top_k, "top_k", 1)
+        v1 = self.vocab_size + 1
+        step = max(1, _BLOCK // v1)  # rows per block: its (rows, V+1) array holds ~_BLOCK doubles
         order1 = self._order1_row()
+        part = np.empty(v1)
         with np.errstate(over="ignore"):  # a tiny temperature overflows logits to +-inf
-            for start in range(0, len(outs), _ROW_BLOCK):
-                rngs = map(np.random.default_rng, seeds[start : start + _ROW_BLOCK])
-                rows = list(zip(outs[start : start + _ROW_BLOCK], rngs))
-                self._extend(rows, order1, max_new, temperature, top_k)
+            for start in range(0, len(outs), step):
+                rngs = map(np.random.default_rng, seeds[start : start + step])
+                rows = list(zip(outs[start : start + step], rngs))
+                block = np.empty((len(rows), v1))
+                for _ in range(max_new):
+                    if not rows:
+                        break
+                    probs = block[: len(rows)]
+                    probs[...] = order1
+                    for row, (out, _) in zip(probs, rows):
+                        self._add_context(row, out, part)
+                    events = _draw(probs, [rng for _, rng in rows], temperature, top_k)
+                    live = []
+                    for (out, rng), event in zip(rows, events):
+                        if event != self.eos_id:
+                            out.append(event)
+                            live.append((out, rng))
+                    rows = live
         return outs
-
-    def _extend(self, rows: list[tuple[TokenSequence, np.random.Generator]],
-                order1: np.ndarray, max_new: int, temperature: float,
-                top_k: int | None) -> None:
-        """Extend each sequence of ``rows`` in place with its rng, one step for all
-        unfinished ones at a time."""
-        block = np.empty((len(rows), self.vocab_size + 1))
-        part = np.empty(self.vocab_size + 1)
-        for _ in range(max_new):
-            if not rows:
-                break
-            probs = block[: len(rows)]
-            for row, (out, _) in zip(probs, rows):
-                row[...] = order1
-                self._add_context(row, out, part)
-            events = _draw(probs, [rng for _, rng in rows], temperature, top_k)
-            live = []
-            for (out, rng), event in zip(rows, events):
-                if event != self.eos_id:
-                    out.append(event)
-                    live.append((out, rng))
-            rows = live
 
     def to_bytes(self) -> bytes:
         return b"".join((

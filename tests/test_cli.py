@@ -1,4 +1,7 @@
+import importlib
 import os
+import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -20,6 +23,7 @@ from abpe import (
     save_tokens,
     synth_corpus,
 )
+import abpe.__main__
 from abpe import cli, corpus
 from abpe.cli import main
 
@@ -213,6 +217,24 @@ def test_kmeans_fit_sample_rows(tmp_path):
     )
 
 
+def test_kmeans_fit_sample_rows_below_k_fails(tmp_path, capsys):
+    fpath, km = tmp_path / "f.csv", tmp_path / "km.bin"
+    np.savetxt(fpath, np.random.default_rng(6).random((50, 2)), delimiter=",")
+    argv = ["kmeans-fit", "--in", fpath, "--k", 3, "--seed", 2, "--sample-rows", 2, "--out", km]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: --sample-rows must be >= k\n"
+    assert not km.exists()
+
+
+def test_slm_train_without_out_writes_the_model_to_stdout(tmp_path, capsysbinary):
+    src, model = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(Corpus([[0, 1, 0, 1], [0, 1]], 2), str(src))
+    assert run_cli("slm-train", "--in", src, "--order", 2, "--out", model) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert run_cli("slm-train", "--in", src, "--order", 2) == 0
+    assert capsysbinary.readouterr().out == model.read_bytes()
+
+
 def test_score_outputs_logprobs(tmp_path, capsys):
     corpus = Corpus([[0, 1], [1, 1, 0]], 2)
     src = tmp_path / "c.tok"
@@ -340,6 +362,20 @@ def test_metrics_vert_and_xent_and_syntax(tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("utts, code, err", [
+    ([[0, 1, 0, 1], [0, 1], [1, 0, 1]], 0, "skipped 2 utterances too short to shuffle\n"),
+    ([[0, 1], [1, 0, 1]], 1,
+     "skipped 2 utterances too short to shuffle\nerror: no usable utterances for syntax pairs\n"),
+], ids=["some short", "all short"])
+def test_metrics_syntax_skips_utterances_too_short_to_shuffle(tmp_path, capsys, utts, code, err):
+    src, model = tmp_path / "c.tok", tmp_path / "m.ngram"
+    save_tokens(Corpus(utts, 2), str(src))
+    NgramModel.train(load_tokens(str(src)), order=2).save(str(model))
+    argv = ["metrics-syntax", "--model", model, "--in", src, "--block", 3, "--seed", 1]
+    assert run_cli(*argv) == code
+    assert capsys.readouterr().err == err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "abpe", "--version"],
@@ -348,6 +384,15 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "abpe" in proc.stdout
+
+
+def test_console_script_is_the_module_entry_point():
+    # found by plain text: Python 3.10 has no tomllib
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    target = re.search(r'^abpe = "([\w.]+):(\w+)"$', scripts, re.MULTILINE)
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is abpe.__main__.main
 
 
 def _non_canonical_case(tmp_path, field, bad):
@@ -702,6 +747,14 @@ def test_rescore_error_names_its_case(tmp_path, capsys, last_case, message):
     save_tokens(Corpus([[0, 5]], 6), str(tmp_path / "d.tok"))
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error: case q3: {message}\n"
+
+
+def test_rescore_candidate_file_of_two_utterances_fails(tmp_path, capsys):
+    argv = _rescore_inputs(tmp_path, [("q1", "a", "a.tok", "1"), ("q1", "e", "e.tok", "2")])
+    save_tokens(Corpus([[0, 1], [1]], 2), str(tmp_path / "e.tok"))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'e.tok'}: candidate file must hold exactly one utterance\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -217,6 +217,13 @@ class TestFeatureFiles:
             save_features(np.array([[1e39, 0.0]]), str(path))
         assert not path.exists()
 
+    def test_save_empty_matrix_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "f.bin"
+        with pytest.raises(FormatError) as exc:
+            save_features(np.zeros((0, 3)), str(path))
+        assert str(exc.value) == f"{path}: feature matrix must be 2-D and non-empty"
+        assert not path.exists()
+
     @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\u00a01", "1\u2003", "x", ""])
     def test_csv_takes_only_ascii_decimals_without_underscores(self, tmp_path, cell):
         path = write(tmp_path / "f.csv", f"1,2,3\n4,{cell},6\n")
@@ -372,6 +379,21 @@ def test_ids_enter_through_one_gate():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         callers |= {path.stem + scope for scope in _callers(tree, "_check_ids")}
     assert callers == {"corpus._as_corpus", "bpe.BpeModel.__init__"}
+
+
+def test_one_memory_budget():
+    # _BLOCK, in doubles, bounds the temporaries of k-means assignment and of sampling
+    assigned, readers = set(), set()
+    for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id == "_BLOCK":
+                    assigned.add(path.name)
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(n, "id", None) == "_BLOCK" for n in ast.walk(node)):
+                readers.add(f"{path.stem}.{node.name}")
+    assert assigned == {"corpus.py"}
+    assert readers == {"kmeans._nearest", "slm.generate_many"}
 
 
 def test_id_rule_guard_sees_each_mark():

@@ -426,6 +426,28 @@ def test_ngram_sizes_follow_the_integer_rule():
     assert trained.to_bytes() == NgramModel.train(corpus, order=1).to_bytes()
 
 
+_EMPTY_OR_SHORT = {
+    "compression_stats": (lambda: compression_stats(Corpus([], 2), Corpus([], 2), 2),
+                          "empty corpora"),
+    "syntax_accuracy": (lambda: syntax_accuracy(_LM, []), "no syntax pairs"),
+    "self_bleu": (lambda: self_bleu([[1, 2], [1]], 2), "text 1 of length 1 has no 2-grams"),
+    "topx_accuracy no cases": (lambda: topx_accuracy([], [], 1), "no rescore results"),
+    "topx_accuracy best_index": (
+        lambda: topx_accuracy([RescoreResult([0.0, 1.0], 5)], [[1, 2]], 1),
+        "case 0: best_index out of range"),
+    "dump_tokens": (lambda: dump_tokens(Corpus([], 3)),
+                    "corpus has no utterances; nothing to serialize"),
+}
+
+
+@pytest.mark.parametrize("site", list(_EMPTY_OR_SHORT))
+def test_empty_or_short_input_fails_with_its_message(site):
+    call, message = _EMPTY_OR_SHORT[site]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", ["len_range", "motif_len_range"])
 def test_synth_ranges_keep_their_order_message(name):
     with pytest.raises(ValueError, match=rf"^invalid {name} \(2, 1\)$"):

@@ -402,7 +402,7 @@ def test_generate_many_matches_oracle_row_for_row(case, block):
     model, prompts, seeds, max_new, settings = case
     want = [sampled_continuation(model, p, max_new, s, **settings)
             for p, s in zip(prompts, seeds)]
-    with mock.patch.object(slm, "_ROW_BLOCK", block):
+    with mock.patch.object(slm, "_BLOCK", block * (model.vocab_size + 1)):
         assert model.generate_many(prompts, max_new, seeds=seeds, **settings) == want
     assert [model.generate(p, max_new, seed=s, **settings)
             for p, s in zip(prompts, seeds)] == want

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,13 +219,15 @@ def test_tiny_temperature_on_a_model_whose_probabilities_exceed_one():
     assert got == model.generate_many([[], [1]], 5, seeds=[0, 1], temperature=0.0)
 
 
-def test_generate_many_over_more_than_one_row_block():
-    from abpe.slm import _ROW_BLOCK
+def test_generate_many_over_more_than_one_row_block(monkeypatch):
+    from abpe import slm
 
     rng = np.random.default_rng(40)
     corpus = random_small_corpus(rng, max_vocab=6, max_utts=10, max_len=12)
     model = NgramModel.train(corpus, order=3, add_k=0.1)
-    rows = _ROW_BLOCK + 6
+    block = 64
+    monkeypatch.setattr(slm, "_BLOCK", block * (corpus.vocab_size + 1))
+    rows = block + 6
     prompts = [[int(t) for t in rng.integers(0, corpus.vocab_size, size=i % 4)]
                for i in range(rows)]
     got = model.generate_many(prompts, 15, seeds=range(100, 100 + rows), temperature=0.7)
@@ -232,6 +235,18 @@ def test_generate_many_over_more_than_one_row_block():
                    for i, p in enumerate(prompts)]
     # the rows end at different steps
     assert len({len(g) - len(p) for g, p in zip(got, prompts)}) > 3
+
+
+def test_generate_many_memory_is_bounded_in_bytes():
+    # 64 prompts of a 100,000-unit model: the row block holds about _BLOCK doubles, not 64 rows
+    model = NgramModel.train(Corpus([[1, 2, 3, 4, 5, 99999], [7, 8, 9]], 100000), order=3)
+    tracemalloc.start()
+    try:
+        model.generate_many([[1, 2]] * 64, 3, seeds=range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_generate_returns_plain_ints():
