@@ -35,6 +35,7 @@ so repeated calls give identical results.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import shutil
@@ -371,15 +372,19 @@ def save_tokens(corpus: Corpus, path: str) -> None:
     _save(dump_tokens(corpus), path)
 
 
-def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
-    """``values`` if it is 2-D, non-empty and every value fits float32."""
+def _check_matrix(values: np.ndarray, origin: str) -> tuple[float, float]:
+    """The least and greatest value of ``values``, once it is 2-D, non-empty,
+    finite and within float32. The two extremes decide both checks: a NaN comes
+    out of ``min`` and ``max`` alike, ±inf lies beyond ``±_F32_MAX``, and a
+    non-finite value is named before one out of range."""
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise FormatError(f"{origin}: feature matrix must be 2-D and non-empty")
-    if not np.isfinite(values).all():
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FormatError(f"{origin}: non-finite value")
-    if values.max() > _F32_MAX or values.min() < -_F32_MAX:
+    if hi > _F32_MAX or lo < -_F32_MAX:
         raise FormatError(f"{origin}: value outside the float32 range")
-    return values
+    return lo, hi
 
 
 def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: int,
@@ -400,8 +405,8 @@ def _unpack_header(blob: bytes, header: struct.Struct, magic: bytes, version: in
 
 def _pack_matrix(magic: bytes, version: int, values: np.ndarray, origin: str) -> bytes:
     """Magic, u32 version, u64 rows, u64 dim, then row-major float32 values."""
-    n, d = _check_matrix(values, origin).shape
-    return _MATRIX_HEADER.pack(magic, version, n, d) + values.astype("<f4").tobytes()
+    _check_matrix(values, origin)
+    return _MATRIX_HEADER.pack(magic, version, *values.shape) + values.astype("<f4").tobytes()
 
 
 def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.ndarray:
@@ -413,7 +418,8 @@ def _unpack_matrix(blob: bytes, magic: bytes, version: int, origin: str) -> np.n
     if len(blob) != expected:
         raise FormatError(f"{origin}: payload is {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4", offset=_MATRIX_HEADER.size).reshape(n, d)
-    return _check_matrix(values, origin).astype(np.float64)  # casting a NaN may warn
+    _check_matrix(values, origin)
+    return values.astype(np.float64)  # casting a NaN may warn
 
 
 def _parse_feature_csv(text: str, path: str) -> np.ndarray:
@@ -433,7 +439,9 @@ def _parse_feature_csv(text: str, path: str) -> np.ndarray:
     rows = _read_records(text.split("\n"), path, parse)
     if not rows:
         raise FormatError(f"{path}: no feature rows")
-    return _check_matrix(np.asarray(rows, dtype=np.float64), path)
+    values = np.asarray(rows, dtype=np.float64)
+    _check_matrix(values, path)
+    return values
 
 
 def load_features(path: str) -> FeatureMatrix:

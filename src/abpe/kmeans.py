@@ -22,11 +22,13 @@ KMEANS_MAGIC = b"ABPEKMNS"
 KMEANS_VERSION = 1
 
 
-def _as_features(features, dim: int | None = None) -> np.ndarray:
-    x = _check_matrix(np.asarray(features, dtype=np.float64), "features")
+def _as_features(features, dim: int | None = None) -> tuple[np.ndarray, float, float]:
+    """``features`` as a checked float64 matrix, with its least and greatest value."""
+    x = np.asarray(features, dtype=np.float64)
+    lo, hi = _check_matrix(x, "features")
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {dim}")
-    return x
+    return x, lo, hi
 
 
 def _rounding_bound(dim: int, sq_norms):
@@ -35,12 +37,13 @@ def _rounding_bound(dim: int, sq_norms):
     ``dim > 2^21``.
 
     The screen works on float32 copies ``a = fl32(fl64(x - m)·2^e)`` of a row
-    ``x`` and ``w`` of a centroid ``c`` (``_screened``, with any float64 ``m``
-    and ``e`` from ``_scale_exponent``). Let ``p``, ``q`` and ``G`` be float32
-    sums of the ``a_i²``, the ``w_i²`` and the ``a_i·w_i``, each added up in any
-    order, by any BLAS kernel, with or without FMA (``2G`` may also be summed
-    from the products ``a_i·(-2w_i)``); ``sq_norms = p + q``; and
-    ``E = ((x - c) ** 2).sum()`` in float64. Then
+    ``x`` and ``w`` of a centroid ``c`` (``_screened``), with any one float64
+    ``m`` and ``e`` from ``_scale_exponent`` over a range that holds ``x`` and
+    ``c``; the copies may be made at different times (``_Rows``). Let ``p``,
+    ``q`` and ``G`` be float32 sums of the ``a_i²``, the ``w_i²`` and the
+    ``a_i·w_i``, each added up in any order, by any BLAS kernel, with or
+    without FMA (``2G`` may also be summed from the products ``a_i·(-2w_i)``);
+    ``sq_norms = p + q``; and ``E = ((x - c) ** 2).sum()`` in float64. Then
     ``|4^e·E - (p + q - 2G)| <= bound``. In reals, with ``y = (x - m)·2^e``,
     ``z = (c - m)·2^e``, ``T = ‖y‖² + ‖z‖²`` and ``v = 2^-53``:
 
@@ -76,15 +79,18 @@ def _rounding_bound(dim: int, sq_norms):
     return 3 * (dim + 8) * 2.0**-24 * sq_norms + dim * 2.0**-144
 
 
-def _scale_exponent(mean: np.ndarray, *arrays: np.ndarray) -> int:
-    """The ``e`` for ``_screened``: every ``fl64(a - mean)·2^e`` lies within
-    ``±2^t``, ``t = (126 - L) // 2`` for ``dim = mean.size < 2^L``, so the float32 sums of
-    ``dim`` such products, doubled and plus a squared norm, stay below ``2^128``.
-    ``e`` stops at 464, so that the float64 formula's own underflow, scaled by
-    ``4^e``, stays below ``dim·2^-146`` (see ``_rounding_bound``).
+def _scale_exponent(mean: np.ndarray, lo: float, hi: float) -> int:
+    """The ``e`` for ``_screened``: for every value ``a`` in ``[lo, hi]``,
+    ``fl64(a - mean)·2^e`` lies within ``±2^t``, ``t = (126 - L) // 2`` for
+    ``dim = mean.size < 2^L``, so the float32 sums of ``dim`` such products,
+    doubled and plus a squared norm, stay below ``2^128``. ``e`` stops at 464,
+    so that the float64 formula's own underflow, scaled by ``4^e``, stays below
+    ``dim·2^-146`` (see ``_rounding_bound``).
+    ``lo`` and ``hi`` are extremes as ``_check_matrix`` returns them, so no
+    value is scanned again; a wider range can only lower ``e``.
     """
     # rounding is monotone, so no |fl64(a - mean)| exceeds this
-    spread = max(max(a.max() - mean.min(), mean.max() - a.min()) for a in arrays)
+    spread = max(hi - mean.min(), mean.max() - lo)
     return min((126 - mean.size.bit_length()) // 2 - math.frexp(spread)[1], 464)
 
 
@@ -100,59 +106,107 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1)
 
 
-def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: index of the nearest centroid and the squared distance to it.
+@dataclass(eq=False)
+class _Rows:
+    """Checked feature rows ``x`` and the frame of their float32 screen: every
+    copy ``_screened(a, mean, e)`` uses ``e = _scale_exponent(mean, lo, hi)``,
+    with ``lo`` and ``hi`` bounding ``x`` and each centroid set screened so far.
+    A fit's rows are centred on their mean and copied once, into ``xs``, which
+    seeding and every Lloyd iteration reuse; ``cover`` copies them again only
+    when a centroid set lowers ``e``. Rows to assign are screened per block."""
+
+    x: np.ndarray
+    lo: float
+    hi: float
+    mean: np.ndarray
+    xs: np.ndarray | None = None
+    e: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.e = _scale_exponent(self.mean, self.lo, self.hi)
+
+    @classmethod
+    def for_fit(cls, x: np.ndarray, lo: float, hi: float) -> "_Rows":
+        rows = cls(x, lo, hi, x.mean(axis=0))
+        rows.xs = _screened(x, rows.mean, rows.e)
+        return rows
+
+    def cover(self, centroids: np.ndarray) -> int:
+        """``e`` once the range holds ``centroids`` too; ``xs`` follows a lower ``e``."""
+        self.lo = min(self.lo, float(centroids.min()))
+        self.hi = max(self.hi, float(centroids.max()))
+        e = _scale_exponent(self.mean, self.lo, self.hi)
+        if self.xs is not None and e != self.e:
+            self.xs = _screened(self.x, self.mean, e)
+        self.e = e
+        return e
+
+
+def _nearest(rows: _Rows, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row: index of the nearest centroid, and for a fit's rows (with an
+    ``xs``) the squared distance to it; for rows to assign, None.
 
     Exact by definition: the label is the lowest index among the minima of
     ``((row - c) ** 2).sum()`` over the centroids, and the distance is that
     expression's value for the label, bit for bit, whatever the BLAS.
 
-    Rows and centroids are screened on float32 copies centred on the
-    centroids' mean: one matmul gives ``‖c‖² - 2x·c`` per pair, which after
-    the row's own ``‖x‖²`` is within ``bound = _rounding_bound(dim, ‖x‖² +
-    max‖c‖²)`` of the exact value, scaled. A centroid screened more than
-    ``2·bound`` above the row's screened minimum cannot be (or tie) the exact
-    nearest. The centroids left, one per row unless the row is near a tie,
-    get the exact formula, and the row takes the lowest index among their
-    minima; that value is the returned distance.
-    Every temporary holds at most about ``corpus._BLOCK`` doubles, beside
-    the centroids' float32 copy.
+    Rows and centroids are screened on float32 copies in the frame of
+    ``rows``, which ``cover`` widens to the centroids: one matmul gives
+    ``‖c‖² - 2x·c`` per pair, which after the row's own ``‖x‖²`` is within
+    ``bound = _rounding_bound(dim, ‖x‖² + max‖c‖²)`` of the exact value,
+    scaled. A centroid screened more than ``2·bound`` above the row's screened
+    minimum cannot be (or tie) the exact nearest, so a row with one centroid
+    left takes it. Only a row near a tie keeps two or more; those get the
+    exact formula, and the row takes the lowest index among their minima. A
+    fit's distances are the exact formula again, on each row and its label.
+    Every temporary holds at most about ``corpus._BLOCK`` doubles, beside the
+    float32 copies of the centroids and of a fit's rows.
     """
+    x = rows.x
     n, dim = x.shape
     k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    dists = np.empty(n, dtype=np.float64)
-    mean = centroids.mean(axis=0)
-    e = _scale_exponent(mean, x, centroids)
-    cs = _screened(centroids, mean, e)
+    e = rows.cover(centroids)
+    cs = _screened(centroids, rows.mean, e)
     cc = np.einsum("ij,ij->i", cs, cs)
     cs *= -2
+    labels = np.empty(n, dtype=np.int64)
+    dists = None if rows.xs is None else np.empty(n, dtype=np.float64)
     step = max(1, _BLOCK // max(k, dim))
     pairs_step = max(1, _BLOCK // dim)
     for s in range(0, n, step):
         xb = x[s : s + step]
-        xs = _screened(xb, mean, e)
+        xs = _screened(xb, rows.mean, e) if rows.xs is None else rows.xs[s : s + step]
         d = xs @ cs.T
         d += cc
         bound = _rounding_bound(dim, np.einsum("ij,ij->i", xs, xs) + cc.max())
-        rows, cols = np.divmod(np.flatnonzero(d <= (d.min(axis=1) + 2 * bound)[:, None]), k)
-        exact = np.concatenate([
-            _sq_dists(xb[rows[a : a + pairs_step]], centroids[cols[a : a + pairs_step]])
-            for a in range(0, rows.size, pairs_step)
-        ])
-        # pairs come by row, then index, and the sort is stable: sorted by row,
-        # then exact distance, each row's first pair is its lowest-index minimum
-        order = np.lexsort((exact, rows))
-        first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-        labels[s : s + step] = cols[first]
-        dists[s : s + step] = exact[first]
+        near, cols = np.divmod(np.flatnonzero(d <= (d.min(axis=1) + 2 * bound)[:, None]), k)
+        # the pairs left come by row, then index: each row's first is its lowest index left
+        first = np.flatnonzero(np.diff(near, prepend=-1))
+        best = cols[first]
+        left = np.diff(first, append=near.size)
+        tied = np.repeat(left > 1, left)
+        if tied.any():
+            near, cols = near[tied], cols[tied]
+            exact = np.concatenate([
+                _sq_dists(xb[near[a : a + pairs_step]], centroids[cols[a : a + pairs_step]])
+                for a in range(0, near.size, pairs_step)
+            ])
+            # the sort is stable: sorted by row, then exact distance, each
+            # row's first pair is its lowest-index minimum
+            order = np.lexsort((exact, near))
+            won = order[np.flatnonzero(np.diff(near[order], prepend=-1))]
+            best[near[won]] = cols[won]
+        labels[s : s + step] = best
+        if dists is not None:
+            dists[s : s + step] = _sq_dists(centroids[best], xb)  # (c - x)² is (x - c)²
     return labels, dists
 
 
-def _plusplus_init(x: np.ndarray, k: int,
+def _plusplus_init(rows: _Rows, k: int,
                    rng: np.random.Generator) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007), then
-    ``_nearest(x, x[seeds])``: each row's nearest seed and squared distance.
+    """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007) of a
+    fit's rows, then ``_nearest(rows, x[seeds])``: each row's nearest seed and
+    squared distance.
 
     Each draw after the first picks a row with probability proportional to
     ``d2``, its squared distance to the nearest seed so far, so the draws
@@ -161,8 +215,9 @@ def _plusplus_init(x: np.ndarray, k: int,
     seed would give it.
 
     A new seed ``s`` can change only the rows whose exact distance to it is
-    below their ``d2``. One float32 matvec over copies centred on the rows'
-    mean screens every row: ``‖x‖² - 2x·s + ‖s‖²`` lies within
+    below their ``d2``. One float32 matvec over the fit's copies (``rows.xs``,
+    centred on the rows' mean; a seed is a row, so the frame holds it) screens
+    every row: ``‖x‖² - 2x·s + ‖s‖²`` lies within
     ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance,
     scaled, so a row is left only if the screen minus ``bound`` is below its
     scaled ``d2``. As the bound is affine in the norms, that test is
@@ -174,10 +229,8 @@ def _plusplus_init(x: np.ndarray, k: int,
     Once every ``d2`` is zero it stays zero and the rng is not drawn again:
     the remaining seeds are the lowest unused rows, in order.
     """
+    x, xs, e = rows.x, rows.xs, rows.e
     n, dim = x.shape
-    mean = x.mean(axis=0)
-    e = _scale_exponent(mean, x)
-    xs = _screened(x, mean, e)
     xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
     lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
     chosen = [int(rng.integers(0, n))]
@@ -228,7 +281,9 @@ class KMeansModel:
     inertia_per_iter: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        # centroids a file could not hold would also break _nearest's bound
+        # array-likes as features are taken; centroids a file could not hold
+        # would also break _nearest's bound
+        self.centroids = np.asarray(self.centroids, dtype=np.float64)
         _check_matrix(self.centroids, "centroids")
 
     @property
@@ -262,7 +317,7 @@ class KMeansModel:
         Iterates until the largest centroid shift is <= ``tol`` or
         ``max_iters`` is reached. Deterministic for a fixed seed.
         """
-        x = _as_features(features)
+        x, lo, hi = _as_features(features)
         k = _check_size(k, "k", 1)
         if x.shape[0] < k:
             raise ValueError(f"need at least k={k} rows, got {x.shape[0]}")
@@ -270,14 +325,15 @@ class KMeansModel:
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
 
-        seeds, labels, dists = _plusplus_init(x, k, np.random.default_rng(seed))
+        rows = _Rows.for_fit(x, lo, hi)
+        seeds, labels, dists = _plusplus_init(rows, k, np.random.default_rng(seed))
         centroids = x[seeds]
         history = [float(dists.sum())]
         for _ in range(max_iters):
             updated = _update_centroids(x, labels, dists, k)
             shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
             centroids = updated
-            labels, dists = _nearest(x, centroids)
+            labels, dists = _nearest(rows, centroids)
             history.append(float(dists.sum()))
             if shift <= tol:
                 break
@@ -285,8 +341,8 @@ class KMeansModel:
 
     def assign(self, features) -> list[int]:
         """Nearest-centroid id per feature row (ties to the lowest index)."""
-        x = _as_features(features, dim=self.dim)
-        labels, _ = _nearest(x, self.centroids)
+        x, lo, hi = _as_features(features, dim=self.dim)
+        labels, _ = _nearest(_Rows(x, lo, hi, self.centroids.mean(axis=0)), self.centroids)
         return labels.tolist()
 
     def to_bytes(self) -> bytes:

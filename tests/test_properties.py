@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abpe import BpeModel, Corpus, FormatError, NgramModel, load_tokens, save_tokens, slm
+from abpe import (BpeModel, Corpus, FormatError, KMeansModel, NgramModel, load_tokens, save_tokens,
+                  slm)
 from abpe import corpus as corpus_module
 from abpe.bpe import _count_pairs
 from abpe.codec import _read_unicode
 from abpe.corpus import IdRangeError, _code_table
-from abpe.kmeans import _nearest, _plusplus_init
+from abpe.kmeans import _Rows, _as_features, _nearest, _plusplus_init
 
 from oracles import (
     bpe_decode_naive,
@@ -328,11 +329,17 @@ def rows_and_centroids(draw, values=st.integers(-3, 3)):
     return np.array(rows, dtype=np.float64), np.array(centroids, dtype=np.float64)
 
 
+def fit_rows(x):
+    return _Rows.for_fit(*_as_features(x))
+
+
 def check_nearest(x, centroids):
-    labels, dists = _nearest(x, centroids)
+    labels, dists = _nearest(fit_rows(x), centroids)
     assert labels.tolist() == nearest_centroid_bruteforce(x, centroids)
     exact = ((x - centroids[labels]) ** 2).sum(axis=1)
     assert dists.tobytes() == exact.tobytes()
+    # rows to assign: centred on the centroids' mean, screened block by block
+    assert KMeansModel(centroids).assign(x) == labels.tolist()
 
 
 @PROFILE
@@ -424,12 +431,12 @@ def seeding_cases(draw, values=st.integers(-3, 3)):
 
 def check_seeding(x, k, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    chosen, labels, dists = _plusplus_init(x, k, rng)
+    chosen, labels, dists = _plusplus_init(fit_rows(x), k, rng)
     assert chosen == kmeans_plusplus_naive(x, k, oracle_rng)
     # and the same number of draws from the rng
     assert rng.random() == oracle_rng.random()
     # and the assignment to the seeds that fit starts Lloyd from, byte for byte
-    want_labels, want_dists = _nearest(x, x[chosen])
+    want_labels, want_dists = _nearest(fit_rows(x), x[chosen])
     assert labels.tobytes() == want_labels.tobytes()
     assert dists.tobytes() == want_dists.tobytes()
 
