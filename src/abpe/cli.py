@@ -22,6 +22,7 @@ from .codec import _read_unicode, _unicode_lines
 from .corpus import (
     FEATURE_VERSION,
     Corpus,
+    IdRangeError,
     SynthSpec,
     _check_size,
     _parse_float,
@@ -273,15 +274,20 @@ def _cmd_metrics_vert(args) -> None:
 
 def _cmd_metrics_syntax(args) -> None:
     model = NgramModel.load(args.model)
-    corpus = load_tokens(args.infile)
-    pairs = [(utt, shuffle_corrupt(utt, args.block, seed=args.seed + i))
-             for i, utt in enumerate(corpus.utterances) if len(utt) > max(1, args.block)]
-    skipped = len(corpus) - len(pairs)
+    utterances = load_tokens(args.infile).utterances
+    kept = [i for i, utt in enumerate(utterances) if len(utt) > max(1, args.block)]
+    pairs = [(utterances[i], shuffle_corrupt(utterances[i], args.block, seed=args.seed + i))
+             for i in kept]
+    skipped = len(utterances) - len(pairs)
     if skipped:
         print(f"skipped {skipped} utterances too short to shuffle", file=sys.stderr)
     if not pairs:
         raise ValueError("no usable utterances for syntax pairs")
-    acc = syntax_accuracy(model, pairs)
+    try:
+        acc = syntax_accuracy(model, pairs)
+    except IdRangeError as exc:  # it scores each pair's two members in turn
+        exc.index = kept[exc.index // 2]
+        raise
     _emit_metric(
         "metrics-syntax",
         {"pairs": len(pairs), "skipped": skipped, "accuracy": acc},
@@ -408,7 +414,10 @@ def main(argv=None) -> int:
         # looked up by name on each call, so a handler replaced on the module is the one run
         globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (FormatError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, IdRangeError) and "infile" in args:  # an id of --in, by utterance
+            message = f"{args.infile}: utterance {exc.index}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

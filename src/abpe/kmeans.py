@@ -39,10 +39,9 @@ def _rounding_bound(dim: int, sq_norms):
     The screen works on float32 copies ``a = fl32(fl64(x - m)·2^e)`` of a row
     ``x`` and ``w`` of a centroid ``c`` (``_screened``), with any one float64
     ``m`` and ``e`` from ``_scale_exponent`` over a range that holds ``x`` and
-    ``c``; the copies may be made at different times (``_Rows``). Let ``p``,
-    ``q`` and ``G`` be float32 sums of the ``a_i²``, the ``w_i²`` and the
-    ``a_i·w_i``, each added up in any order, by any BLAS kernel, with or
-    without FMA (``2G`` may also be summed from the products ``a_i·(-2w_i)``);
+    ``c``. Let ``p``, ``q`` and ``G`` be float32 sums of the ``a_i²``, the ``w_i²``
+    and the ``a_i·w_i``, each added up in any order, by any BLAS kernel, with
+    or without FMA (``2G`` may also be summed from the products ``a_i·(-2w_i)``);
     ``sq_norms = p + q``; and ``E = ((x - c) ** 2).sum()`` in float64. Then
     ``|4^e·E - (p + q - 2G)| <= bound``. In reals, with ``y = (x - m)·2^e``,
     ``z = (c - m)·2^e``, ``T = ‖y‖² + ‖z‖²`` and ``v = 2^-53``:
@@ -87,7 +86,7 @@ def _scale_exponent(mean: np.ndarray, lo: float, hi: float) -> int:
     so that the float64 formula's own underflow, scaled by ``4^e``, stays below
     ``dim·2^-146`` (see ``_rounding_bound``).
     ``lo`` and ``hi`` are extremes as ``_check_matrix`` returns them, so no
-    value is scanned again; a wider range can only lower ``e``.
+    value is scanned again; a wider range (``fit`` pads it) can only lower ``e``.
     """
     # rounding is monotone, so no |fl64(a - mean)| exceeds this
     spread = max(hi - mean.min(), mean.max() - lo)
@@ -99,86 +98,49 @@ def _screened(a: np.ndarray, mean: np.ndarray, e: int) -> np.ndarray:
     return np.multiply(a - mean, 2.0**e, out=np.empty(a.shape, np.float32), casting="same_kind")
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``((a - b) ** 2).sum(axis=1)``, bit for bit, computed in ``a``'s memory."""
-    a -= b
-    a *= a
-    return np.add.reduce(a, axis=1)
+def _sq_dists(a: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``((a[rows] - b) ** 2).sum(axis=1)``, bit for bit; ``a`` and ``b`` are left as they were."""
+    d = a[rows] - b
+    d *= d
+    return np.add.reduce(d, axis=1)
 
 
-@dataclass(eq=False)
-class _Rows:
-    """Checked feature rows ``x`` and the frame of their float32 screen: every
-    copy ``_screened(a, mean, e)`` uses ``e = _scale_exponent(mean, lo, hi)``,
-    with ``lo`` and ``hi`` bounding ``x`` and each centroid set screened so far.
-    A fit's rows are centred on their mean and copied once, into ``xs``, which
-    seeding and every Lloyd iteration reuse; ``cover`` copies them again only
-    when a centroid set lowers ``e``. Rows to assign are screened per block."""
-
-    x: np.ndarray
-    lo: float
-    hi: float
-    mean: np.ndarray
-    xs: np.ndarray | None = None
-    e: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.e = _scale_exponent(self.mean, self.lo, self.hi)
-
-    @classmethod
-    def for_fit(cls, x: np.ndarray, lo: float, hi: float) -> "_Rows":
-        rows = cls(x, lo, hi, x.mean(axis=0))
-        rows.xs = _screened(x, rows.mean, rows.e)
-        return rows
-
-    def cover(self, centroids: np.ndarray) -> int:
-        """``e`` once the range holds ``centroids`` too; ``xs`` follows a lower ``e``."""
-        self.lo = min(self.lo, float(centroids.min()))
-        self.hi = max(self.hi, float(centroids.max()))
-        e = _scale_exponent(self.mean, self.lo, self.hi)
-        if self.xs is not None and e != self.e:
-            self.xs = _screened(self.x, self.mean, e)
-        self.e = e
-        return e
-
-
-def _nearest(rows: _Rows, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per row: index of the nearest centroid, and for a fit's rows (with an
-    ``xs``) the squared distance to it; for rows to assign, None.
+def _nearest(x: np.ndarray, centroids: np.ndarray, mean: np.ndarray, e: int,
+             xs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row of ``x``: index of the nearest centroid, and given a fit's copy
+    ``xs`` of the rows, the squared distance to it; for rows to assign, None.
 
     Exact by definition: the label is the lowest index among the minima of
     ``((row - c) ** 2).sum()`` over the centroids, and the distance is that
     expression's value for the label, bit for bit, whatever the BLAS.
 
-    Rows and centroids are screened on float32 copies in the frame of
-    ``rows``, which ``cover`` widens to the centroids: one matmul gives
-    ``‖c‖² - 2x·c`` per pair, which after the row's own ``‖x‖²`` is within
-    ``bound = _rounding_bound(dim, ‖x‖² + max‖c‖²)`` of the exact value,
-    scaled. A centroid screened more than ``2·bound`` above the row's screened
-    minimum cannot be (or tie) the exact nearest, so a row with one centroid
-    left takes it. Only a row near a tie keeps two or more; those get the
-    exact formula, and the row takes the lowest index among their minima. A
-    fit's distances are the exact formula again, on each row and its label.
-    Every temporary holds at most about ``corpus._BLOCK`` doubles, beside the
-    float32 copies of the centroids and of a fit's rows.
+    Rows and centroids are screened on float32 copies ``_screened(a, mean, e)``
+    with one ``e`` whose range holds both (a fit's rows come copied, as
+    ``xs``): one matmul gives ``‖c‖² - 2x·c`` per pair, which after the row's
+    own ``‖x‖²`` is within ``bound = _rounding_bound(dim, ‖x‖² + max‖c‖²)`` of
+    the exact value, scaled. A centroid screened more than ``2·bound`` above
+    the row's screened minimum cannot be (or tie) the exact nearest, so a row
+    with one centroid left takes it. Only a row near a tie keeps two or more;
+    those get the exact formula, and the row takes the lowest index among
+    their minima. A fit's distances are the exact formula again, on each row
+    and its label. Every temporary holds at most about ``corpus._BLOCK``
+    doubles, beside the float32 copies of the centroids and of a fit's rows.
     """
-    x = rows.x
     n, dim = x.shape
     k = centroids.shape[0]
-    e = rows.cover(centroids)
-    cs = _screened(centroids, rows.mean, e)
+    cs = _screened(centroids, mean, e)
     cc = np.einsum("ij,ij->i", cs, cs)
     cs *= -2
     labels = np.empty(n, dtype=np.int64)
-    dists = None if rows.xs is None else np.empty(n, dtype=np.float64)
+    dists = None if xs is None else np.empty(n, dtype=np.float64)
     step = max(1, _BLOCK // max(k, dim))
     pairs_step = max(1, _BLOCK // dim)
     for s in range(0, n, step):
         xb = x[s : s + step]
-        xs = _screened(xb, rows.mean, e) if rows.xs is None else rows.xs[s : s + step]
-        d = xs @ cs.T
+        xsb = _screened(xb, mean, e) if xs is None else xs[s : s + step]
+        d = xsb @ cs.T
         d += cc
-        bound = _rounding_bound(dim, np.einsum("ij,ij->i", xs, xs) + cc.max())
+        bound = _rounding_bound(dim, np.einsum("ij,ij->i", xsb, xsb) + cc.max())
         near, cols = np.divmod(np.flatnonzero(d <= (d.min(axis=1) + 2 * bound)[:, None]), k)
         # the pairs left come by row, then index: each row's first is its lowest index left
         first = np.flatnonzero(np.diff(near, prepend=-1))
@@ -188,7 +150,7 @@ def _nearest(rows: _Rows, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if tied.any():
             near, cols = near[tied], cols[tied]
             exact = np.concatenate([
-                _sq_dists(xb[near[a : a + pairs_step]], centroids[cols[a : a + pairs_step]])
+                _sq_dists(xb, near[a : a + pairs_step], centroids[cols[a : a + pairs_step]])
                 for a in range(0, near.size, pairs_step)
             ])
             # the sort is stable: sorted by row, then exact distance, each
@@ -198,15 +160,15 @@ def _nearest(rows: _Rows, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
             best[near[won]] = cols[won]
         labels[s : s + step] = best
         if dists is not None:
-            dists[s : s + step] = _sq_dists(centroids[best], xb)  # (c - x)² is (x - c)²
+            dists[s : s + step] = _sq_dists(centroids, best, xb)  # (c - x)² is (x - c)²
     return labels, dists
 
 
-def _plusplus_init(rows: _Rows, k: int,
+def _plusplus_init(x: np.ndarray, xs: np.ndarray, e: int, k: int,
                    rng: np.random.Generator) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Row indices of the k-means++ seeds (Arthur & Vassilvitskii 2007) of a
-    fit's rows, then ``_nearest(rows, x[seeds])``: each row's nearest seed and
-    squared distance.
+    fit's rows ``x``, then what ``_nearest`` gives for ``x[seeds]``: each
+    row's nearest seed and squared distance.
 
     Each draw after the first picks a row with probability proportional to
     ``d2``, its squared distance to the nearest seed so far, so the draws
@@ -215,9 +177,9 @@ def _plusplus_init(rows: _Rows, k: int,
     seed would give it.
 
     A new seed ``s`` can change only the rows whose exact distance to it is
-    below their ``d2``. One float32 matvec over the fit's copies (``rows.xs``,
-    centred on the rows' mean; a seed is a row, so the frame holds it) screens
-    every row: ``‖x‖² - 2x·s + ‖s‖²`` lies within
+    below their ``d2``. One float32 matvec over the fit's copy ``xs`` of the
+    rows (a seed is a row, so the frame of ``e`` holds it) screens every row:
+    ``‖x‖² - 2x·s + ‖s‖²`` lies within
     ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance,
     scaled, so a row is left only if the screen minus ``bound`` is below its
     scaled ``d2``. As the bound is affine in the norms, that test is
@@ -229,7 +191,6 @@ def _plusplus_init(rows: _Rows, k: int,
     Once every ``d2`` is zero it stays zero and the rng is not drawn again:
     the remaining seeds are the lowest unused rows, in order.
     """
-    x, xs, e = rows.x, rows.xs, rows.e
     n, dim = x.shape
     xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
     lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
@@ -247,7 +208,7 @@ def _plusplus_init(rows: _Rows, k: int,
         j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
         chosen.append(j)
         rows = np.flatnonzero(xs @ xs[j] >= lo + lo[j] - np.ldexp(d2, 2 * e - 1))
-        exact = _sq_dists(x[rows], x[j])
+        exact = _sq_dists(x, rows, x[j])
         labels[rows[exact < d2[rows]]] = t
         d2[rows] = np.minimum(d2[rows], exact)
     return chosen, labels, d2
@@ -256,6 +217,20 @@ def _plusplus_init(rows: _Rows, k: int,
 def _update_centroids(
     x: np.ndarray, labels: np.ndarray, dists: np.ndarray, k: int
 ) -> np.ndarray:
+    """Each cluster's mean: ``np.add.at`` sums its rows in row order, then one
+    division by its count; an empty cluster takes a row.
+
+    A fit's one frame, its ``n`` rows' range ``[lo, hi]`` widened by
+    ``pad = n·2^-52·max|x|``, holds every centroid it screens. A seed or a
+    repair is a row. By the summation bound (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §4.2) a sum of ``c <= n`` rows, over ``c``, lies
+    within ``γ·max|x|`` of a point of ``[lo, hi]``, with ``v = 2^-53`` and
+    ``γ = (c-1)·v/(1 - (c-1)·v)``; the division adds ``v·(1 + γ)·max|x|``, so
+    for ``c·v <= 1/4`` the mean lies within ``pad - v·max|x|/2``. That slack
+    holds the division's underflow, ``2^-1075``, once ``max|x| >= 2^-1021``;
+    below that ``e`` sits at its cap of 464, far inside ``±2^t``. Rounding is
+    monotone, so the frame's float64 ends hold every such value.
+    """
     dim = x.shape[1]
     sums = np.zeros((k, dim), dtype=np.float64)
     np.add.at(sums, labels, x)
@@ -325,15 +300,19 @@ class KMeansModel:
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
 
-        rows = _Rows.for_fit(x, lo, hi)
-        seeds, labels, dists = _plusplus_init(rows, k, np.random.default_rng(seed))
+        # one frame, one copy of the rows: the pad holds every mean of rows (_update_centroids)
+        mean = x.mean(axis=0)
+        pad = len(x) * 2.0**-52 * max(-lo, hi)
+        e = _scale_exponent(mean, lo - pad, hi + pad)
+        xs = _screened(x, mean, e)
+        seeds, labels, dists = _plusplus_init(x, xs, e, k, np.random.default_rng(seed))
         centroids = x[seeds]
         history = [float(dists.sum())]
         for _ in range(max_iters):
             updated = _update_centroids(x, labels, dists, k)
             shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
             centroids = updated
-            labels, dists = _nearest(rows, centroids)
+            labels, dists = _nearest(x, centroids, mean, e, xs)
             history.append(float(dists.sum()))
             if shift <= tol:
                 break
@@ -342,8 +321,10 @@ class KMeansModel:
     def assign(self, features) -> list[int]:
         """Nearest-centroid id per feature row (ties to the lowest index)."""
         x, lo, hi = _as_features(features, dim=self.dim)
-        labels, _ = _nearest(_Rows(x, lo, hi, self.centroids.mean(axis=0)), self.centroids)
-        return labels.tolist()
+        c = self.centroids
+        mean = c.mean(axis=0)
+        e = _scale_exponent(mean, min(lo, float(c.min())), max(hi, float(c.max())))
+        return _nearest(x, c, mean, e)[0].tolist()
 
     def to_bytes(self) -> bytes:
         return _pack_matrix(KMEANS_MAGIC, KMEANS_VERSION, self.centroids, "centroids")

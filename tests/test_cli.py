@@ -165,8 +165,43 @@ def test_bpe_encode_names_a_bad_id_in_a_later_utterance(tmp_path, capsys):
     src.write_text("#vocab 8\n0 1 2\n2 2\n0 1 7 1\n1 0\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli("bpe-encode", "--model", merges, "--in", src, "--out", out) == 1
-    assert capsys.readouterr().err == "error: id 7 at position 2 is outside the base alphabet\n"
+    assert capsys.readouterr().err == (
+        f"error: {src}: utterance 2: id 7 at position 2 is outside the base alphabet\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, text, message", [
+    ("score", [], "1 2 3\n4 5 299\n", "utterance 1: id 299 at position 2 out of vocabulary"),
+    ("metrics-xent", [], "1 2 3\n4 5 299\n",
+     "utterance 1: id 299 at position 2 out of vocabulary"),
+    # utterances 0 and 1 are too short to shuffle: utterance 3 is pair 1, scored third
+    ("metrics-syntax", ["--seed", 0], "1\n2\n1 2 3\n4 5 299\n",
+     "utterance 3: id 299 at position 2 out of vocabulary"),
+    ("bpe-decode", [], "1 2 3\n3 2 9 1\n", "utterance 1: id 9 at position 2 out of range"),
+    ("to-unicode", [], "1 2\n3 29999\n", "utterance 1: id 29999 at position 1 exceeds codec "
+                                            "capacity 20992"),
+], ids=["score", "metrics-xent", "metrics-syntax", "bpe-decode", "to-unicode"])
+def test_id_errors_name_the_file_and_utterance(tmp_path, capsys, command, extra, text, message):
+    src, out = tmp_path / "in.tok", tmp_path / "out.txt"
+    src.write_text("#vocab 30000\n" + text, encoding="utf-8")
+    model = tmp_path / "m.model"
+    if command == "bpe-decode":
+        BpeModel(3, [(0, 1)]).save(str(model))
+    else:
+        NgramModel.train(Corpus([[1, 2, 3, 4, 5]], 10), order=2).save(str(model))
+    model_args = [] if command == "to-unicode" else ["--model", model]
+    assert run_cli(command, *model_args, "--in", src, *extra, "--out", out) == 1
+    skipped = "skipped 2 utterances too short to shuffle\n" if command == "metrics-syntax" else ""
+    assert capsys.readouterr().err == f"{skipped}error: {src}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_bad_prompt_id_names_no_file(tmp_path, capsys):
+    model = tmp_path / "m.ngram"
+    NgramModel.train(Corpus([[1, 2, 3, 4, 5]], 10), order=2).save(str(model))
+    assert run_cli("continue", "--model", model, "--prompt", "1 99", "--max-new", 2,
+                   "--seed", 0) == 1
+    assert capsys.readouterr().err == "error: id 99 at position 1 out of vocabulary\n"
 
 
 def test_kmeans_fit_and_discretize(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from abpe import FormatError, KMeansModel, kmeans, load_features
 from abpe.cli import main
-from abpe.kmeans import (_Rows, _as_features, _nearest, _plusplus_init, _screened,
+from abpe.kmeans import (_as_features, _nearest, _plusplus_init, _scale_exponent, _screened,
                          _update_centroids)
 
 from oracles import (
@@ -18,9 +18,26 @@ from oracles import (
 )
 
 
-def fit_rows(x):
-    """``x`` as a fit screens it: one float32 copy, centred on the rows' mean."""
-    return _Rows.for_fit(*_as_features(x))
+def fit_rows(x, centroids=()):
+    """``(x, mean, e, xs)``: ``x`` as a fit screens it, one float32 copy ``xs``
+    centred on the rows' mean, in a frame that also holds ``centroids``."""
+    x, lo, hi = _as_features(x)
+    c = np.asarray(centroids, dtype=np.float64)
+    mean = x.mean(axis=0)
+    e = _scale_exponent(mean, min(lo, c.min(initial=lo)), max(hi, c.max(initial=hi)))
+    return x, mean, e, _screened(x, mean, e)
+
+
+def nearest(x, centroids):
+    """``_nearest`` on ``x`` as a fit screens it."""
+    x, mean, e, xs = fit_rows(x, centroids)
+    return _nearest(x, centroids, mean, e, xs)
+
+
+def seeding(x, k, rng):
+    """``_plusplus_init`` on ``x`` as a fit screens it."""
+    x, _, e, xs = fit_rows(x)
+    return _plusplus_init(x, xs, e, k, rng)
 
 
 def blobs(rng, centers, n_per, spread=0.1):
@@ -73,10 +90,10 @@ def test_nearest_is_the_same_in_any_block_size(monkeypatch, block):
     rng = np.random.default_rng(10)
     x = rng.integers(-2, 3, size=(37, 3)).astype(np.float64)
     centroids = rng.integers(-2, 3, size=(9, 3)).astype(np.float64)
-    want = _nearest(fit_rows(x), centroids)
+    want = nearest(x, centroids)
     assert want[0].tolist() == nearest_centroid_bruteforce(x, centroids)
     monkeypatch.setattr(kmeans, "_BLOCK", block)
-    labels, dists = _nearest(fit_rows(x), centroids)
+    labels, dists = nearest(x, centroids)
     assert labels.tolist() == want[0].tolist()
     assert dists.tobytes() == want[1].tobytes()
     assert KMeansModel(centroids).assign(x) == want[0].tolist()
@@ -155,7 +172,7 @@ def test_golden_seeding_at_the_paper_shape():
     was recorded with a full recompute of every row's distance per draw, so
     screening must keep every draw."""
     x = paper_shape_rows()[:800].astype(np.float64)
-    seeds, _, _ = _plusplus_init(fit_rows(x), 500, np.random.default_rng(0))
+    seeds, _, _ = seeding(x, 500, np.random.default_rng(0))
     assert hashlib.sha256(x[seeds].tobytes()).hexdigest() == (
         "6d4365aaeb3180f08907c3f987c0e659ca6da7c3376316852b46d0e8746825d1")
 
@@ -165,7 +182,7 @@ def test_golden_seeding_at_the_paper_shape_off_the_origin():
     float64 screen: a screen that rounds the offset instead of the spread
     needs more exact rows here, and must still keep every draw."""
     x = paper_shape_rows()[:800].astype(np.float64) + 100.0
-    seeds, _, _ = _plusplus_init(fit_rows(x), 500, np.random.default_rng(0))
+    seeds, _, _ = seeding(x, 500, np.random.default_rng(0))
     assert hashlib.sha256(repr(seeds).encode()).hexdigest() == (
         "64c05023f999130c63865ef4607ab642fae6060136cbc7ae72db489ff1b7d61e")
 
@@ -193,7 +210,7 @@ def test_seeding_past_the_distinct_rows_takes_the_lowest_unused():
     # zero, and the other nine seeds are the lowest unused rows
     rng = np.random.default_rng(13)
     x = rng.random((3, 5))[rng.integers(0, 3, 30)]
-    seeds, _, _ = _plusplus_init(fit_rows(x), 12, np.random.default_rng(2))
+    seeds, _, _ = seeding(x, 12, np.random.default_rng(2))
     assert seeds == kmeans_plusplus_naive(x, 12, np.random.default_rng(2))
     assert len(np.unique(x[seeds[:3]], axis=0)) == 3
     assert seeds[3:] == sorted(set(range(30)) - set(seeds[:3]))[:9]
@@ -202,7 +219,7 @@ def test_seeding_past_the_distinct_rows_takes_the_lowest_unused():
 def test_seeding_labels_a_tied_row_with_the_lowest_seed_index():
     # rows 2 then 0 are drawn, and row 1 lies halfway between them
     x = np.array([[0.0], [1.0], [2.0]])
-    seeds, labels, dists = _plusplus_init(fit_rows(x), 2, np.random.default_rng(0))
+    seeds, labels, dists = seeding(x, 2, np.random.default_rng(0))
     assert seeds == [2, 0]
     assert labels.tolist() == [1, 0, 0]
     assert dists.tolist() == [0.0, 1.0, 0.0]
@@ -213,9 +230,9 @@ def test_fit_assigns_the_rows_once_per_iteration(monkeypatch):
     its updated centroids gives the next inertia, the last the final one."""
     calls = []
 
-    def counted(x, centroids):
+    def counted(x, centroids, *frame):
         calls.append(len(centroids))
-        return _nearest(x, centroids)
+        return _nearest(x, centroids, *frame)
 
     monkeypatch.setattr(kmeans, "_nearest", counted)
     rng = np.random.default_rng(5)
@@ -247,23 +264,75 @@ def test_kmeans_fit_screens_its_rows_once(monkeypatch):
 
 
 @pytest.mark.parametrize("far", [4e6, -4e6])
-def test_centroids_beyond_the_rows_screen_the_rows_again(far):
-    """A centroid far above or below the rows' range lowers the scale, so the
-    rows' copy is made again; a later set inside the widened range reuses it."""
+def test_nearest_to_centroids_far_beyond_the_rows_matches_oracle(far):
+    """A centroid far above or below the rows' range, in a frame that holds it."""
     rng = np.random.default_rng(14)
     x = rng.random((30, 3))
     centroids = np.array([[0.5, 0.5, 0.5], [far, 0.0, 1.0], [0.2, 0.1, 0.9]])
-    rows = fit_rows(x)
-    e, xs = rows.e, rows.xs
-    labels, dists = _nearest(rows, centroids)
-    assert rows.e < e and rows.xs is not xs
-    assert rows.xs.tobytes() == _screened(x, rows.mean, rows.e).tobytes()
+    assert fit_rows(x, centroids)[2] < fit_rows(x)[2]  # the centroid lowers the scale
+    labels, dists = nearest(x, centroids)
     assert labels.tolist() == nearest_centroid_bruteforce(x, centroids)
     assert dists.tobytes() == ((x - centroids[labels]) ** 2).sum(axis=1).tobytes()
-    e, xs = rows.e, rows.xs
-    labels, _ = _nearest(rows, centroids[:1] + x[:1])
-    assert rows.e == e and rows.xs is xs
-    assert labels.tolist() == [0] * len(x)
+
+
+def test_kmeans_fit_screens_a_mean_beyond_the_rows_in_its_padded_frame(monkeypatch):
+    """Rows at 1e8 with a spread of 1e-8, below one float64 step there, take a
+    few values, and a cluster's float64 mean rounds past the rows' range: the
+    fit's frame, padded for such means, still gives the exact labels."""
+    x = 1e8 + 1e-8 * np.random.default_rng(63).standard_normal((40, 2))
+    lo, hi = x.min(), x.max()
+    pad = len(x) * 2.0**-52 * max(-lo, hi)
+    beyond = []
+
+    def updated(x, labels, dists, k):
+        centroids = _update_centroids(x, labels, dists, k)
+        beyond.append(max(lo - centroids.min(), centroids.max() - hi))
+        return centroids
+
+    def checked(x, centroids, *frame):
+        labels, dists = _nearest(x, centroids, *frame)
+        assert labels.tolist() == nearest_centroid_bruteforce(x, centroids)
+        assert dists.tobytes() == ((x - centroids[labels]) ** 2).sum(axis=1).tobytes()
+        return labels, dists
+
+    monkeypatch.setattr(kmeans, "_update_centroids", updated)
+    monkeypatch.setattr(kmeans, "_nearest", checked)
+    model = KMeansModel.fit(x, 4, seed=0, max_iters=3, tol=0)
+    monkeypatch.undo()
+    assert 0 < max(beyond) <= pad
+    want = nearest_centroid_bruteforce(x, model.centroids)
+    assert model.assign(x) == want
+    assert model.inertia == float(((x - model.centroids[want]) ** 2).sum(axis=1).sum())
+
+
+def test_kmeans_picks_one_frame_per_call(monkeypatch):
+    calls = []
+
+    def counted(mean, lo, hi):
+        calls.append((lo, hi))
+        return _scale_exponent(mean, lo, hi)
+
+    monkeypatch.setattr(kmeans, "_scale_exponent", counted)
+    x = np.random.default_rng(5).random((60, 2))
+    for max_iters in (1, 2, 3):
+        calls.clear()
+        model = KMeansModel.fit(x, 4, seed=1, max_iters=max_iters, tol=0.0)
+        assert model.n_iter == max_iters
+        assert len(calls) == 1
+    calls.clear()
+    model.assign(x)
+    assert len(calls) == 1
+
+
+def test_nearest_and_plusplus_leave_their_arguments_as_they_were():
+    x, centroids = tied_rows_and_centroids(1e6)  # the exact formula runs on many rows
+    x, mean, e, xs = fit_rows(x, centroids)
+    arrays = (x, centroids, mean, xs)
+    before = [a.tobytes() for a in arrays]
+    _nearest(x, centroids, mean, e, xs)
+    _nearest(x, centroids, mean, e)
+    _plusplus_init(x, xs, e, 9, np.random.default_rng(0))
+    assert [a.tobytes() for a in arrays] == before
 
 
 def tied_rows_and_centroids(offset):
@@ -290,7 +359,7 @@ def test_nearest_on_tied_rows_matches_oracle(offset):
     x, centroids = tied_rows_and_centroids(offset)
     assert tied_share(x, centroids) > 0.5
     want = nearest_centroid_bruteforce(x, centroids)
-    labels, dists = _nearest(fit_rows(x), centroids)
+    labels, dists = nearest(x, centroids)
     assert labels.tolist() == want
     assert dists.tobytes() == ((x - centroids[labels]) ** 2).sum(axis=1).tobytes()
     assert KMeansModel(centroids).assign(x) == want
@@ -375,7 +444,7 @@ def test_kmeans_check_messages(tmp_path, capsys, values, message):
 def test_empty_cluster_repair_moves_to_farthest_point():
     x = np.array([[0.0, 0.0], [0.1, 0.0], [4.0, 4.0], [4.2, 4.0]])
     centroids = np.array([[0.0, 0.0], [4.0, 4.0], [100.0, 100.0]])
-    labels, dists = _nearest(fit_rows(x), centroids)
+    labels, dists = nearest(x, centroids)
     assert np.bincount(labels, minlength=3)[2] == 0
     updated = _update_centroids(x, labels, dists, 3)
     farthest = x[int(np.argmax(dists))]

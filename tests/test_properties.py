@@ -23,7 +23,7 @@ from abpe import corpus as corpus_module
 from abpe.bpe import _count_pairs
 from abpe.codec import _read_unicode
 from abpe.corpus import IdRangeError, _code_table
-from abpe.kmeans import _Rows, _as_features, _nearest, _plusplus_init
+from abpe.kmeans import _as_features, _nearest, _plusplus_init, _scale_exponent, _screened
 
 from oracles import (
     bpe_decode_naive,
@@ -329,12 +329,18 @@ def rows_and_centroids(draw, values=st.integers(-3, 3)):
     return np.array(rows, dtype=np.float64), np.array(centroids, dtype=np.float64)
 
 
-def fit_rows(x):
-    return _Rows.for_fit(*_as_features(x))
+def fit_rows(x, centroids=()):
+    """``(x, mean, e, xs)``: ``x`` as a fit screens it, in a frame that also holds ``centroids``."""
+    x, lo, hi = _as_features(x)
+    c = np.asarray(centroids, dtype=np.float64)
+    mean = x.mean(axis=0)
+    e = _scale_exponent(mean, min(lo, c.min(initial=lo)), max(hi, c.max(initial=hi)))
+    return x, mean, e, _screened(x, mean, e)
 
 
 def check_nearest(x, centroids):
-    labels, dists = _nearest(fit_rows(x), centroids)
+    x, mean, e, xs = fit_rows(x, centroids)
+    labels, dists = _nearest(x, centroids, mean, e, xs)
     assert labels.tolist() == nearest_centroid_bruteforce(x, centroids)
     exact = ((x - centroids[labels]) ** 2).sum(axis=1)
     assert dists.tobytes() == exact.tobytes()
@@ -431,12 +437,13 @@ def seeding_cases(draw, values=st.integers(-3, 3)):
 
 def check_seeding(x, k, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    chosen, labels, dists = _plusplus_init(fit_rows(x), k, rng)
+    x, mean, e, xs = fit_rows(x)
+    chosen, labels, dists = _plusplus_init(x, xs, e, k, rng)
     assert chosen == kmeans_plusplus_naive(x, k, oracle_rng)
     # and the same number of draws from the rng
     assert rng.random() == oracle_rng.random()
     # and the assignment to the seeds that fit starts Lloyd from, byte for byte
-    want_labels, want_dists = _nearest(fit_rows(x), x[chosen])
+    want_labels, want_dists = _nearest(x, x[chosen], mean, e, xs)
     assert labels.tobytes() == want_labels.tobytes()
     assert dists.tobytes() == want_dists.tobytes()
 
