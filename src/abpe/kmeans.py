@@ -100,7 +100,8 @@ def _screened(a: np.ndarray, mean: np.ndarray, e: int) -> np.ndarray:
 
 def _sq_dists(a: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``((a[rows] - b) ** 2).sum(axis=1)``, bit for bit; ``a`` and ``b`` are left as they were."""
-    d = a[rows] - b
+    d = a.take(rows, axis=0)
+    d -= b
     d *= d
     return np.add.reduce(d, axis=1)
 
@@ -183,10 +184,12 @@ def _plusplus_init(x: np.ndarray, xs: np.ndarray, e: int, k: int,
     ``bound = _rounding_bound(dim, ‖x‖² + ‖s‖²)`` of that exact distance,
     scaled, so a row is left only if the screen minus ``bound`` is below its
     scaled ``d2``. As the bound is affine in the norms, that test is
-    ``x·s >= lo + lo[s] - 4^e·d2/2`` with ``lo = (‖x‖² - bound(2‖x‖²)/2)/2``
-    per row. Only the rows left get the exact formula and take its minimum
-    with ``d2``; a row whose ``d2`` falls takes the new seed as its label, so
-    a tie keeps the lowest seed index.
+    ``x·s - lo[s] >= thr = lo - 4^e·d2/2``, ``lo = (‖x‖² - bound(2‖x‖²)/2)/2``,
+    ``thr`` kept per row. Its two float64 roundings, at most
+    ``2^-53·(1.2·(‖x‖² + ‖s‖²) + 4^e·d2/2)``, fit in ``_rounding_bound``'s
+    slack plus ``4^e/2`` times the least fall of ``d2``, ``2^-53·d2``. Only
+    the rows left get the exact formula; a row whose ``d2`` falls takes it,
+    the new seed as its label (a tie keeps the lowest index) and a new ``thr``.
 
     Once every ``d2`` is zero it stays zero and the rng is not drawn again:
     the remaining seeds are the lowest unused rows, in order.
@@ -196,7 +199,9 @@ def _plusplus_init(x: np.ndarray, xs: np.ndarray, e: int, k: int,
     lo = (xx - _rounding_bound(dim, 2 * xx) / 2) / 2
     chosen = [int(rng.integers(0, n))]
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    thr = lo - np.ldexp(d2, 2 * e - 1)
     labels = np.zeros(n, dtype=np.int64)
+    dots, left = np.empty(n, dtype=np.float32), np.empty(n)
     for t in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
@@ -207,18 +212,21 @@ def _plusplus_init(x: np.ndarray, xs: np.ndarray, e: int, k: int,
         u = rng.random() * total
         j = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
         chosen.append(j)
-        rows = np.flatnonzero(xs @ xs[j] >= lo + lo[j] - np.ldexp(d2, 2 * e - 1))
+        rows = np.flatnonzero(np.subtract(np.dot(xs, xs[j], out=dots), lo[j], out=left) >= thr)
         exact = _sq_dists(x, rows, x[j])
-        labels[rows[exact < d2[rows]]] = t
-        d2[rows] = np.minimum(d2[rows], exact)
+        won = exact < d2.take(rows)
+        fell, exact = rows[won], exact[won]
+        labels[fell], d2[fell] = t, exact
+        thr[fell] = lo[fell] - np.ldexp(exact, 2 * e - 1)
     return chosen, labels, d2
 
 
 def _update_centroids(
     x: np.ndarray, labels: np.ndarray, dists: np.ndarray, k: int
 ) -> np.ndarray:
-    """Each cluster's mean: ``np.add.at`` sums its rows in row order, then one
-    division by its count; an empty cluster takes a row.
+    """Each cluster's mean: one flat ``np.add.at`` per ``_BLOCK`` values adds
+    each row's values to their coordinates' sums, in row order from 0.0, then
+    one division by the count; an empty cluster takes a row.
 
     A fit's one frame, its ``n`` rows' range ``[lo, hi]`` widened by
     ``pad = n·2^-52·max|x|``, holds every centroid it screens. A seed or a
@@ -231,19 +239,20 @@ def _update_centroids(
     below that ``e`` sits at its cap of 464, far inside ``±2^t``. Rounding is
     monotone, so the frame's float64 ends hold every such value.
     """
-    dim = x.shape[1]
+    n, dim = x.shape
     sums = np.zeros((k, dim), dtype=np.float64)
-    np.add.at(sums, labels, x)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    nonempty = counts > 0
-    sums[nonempty] /= counts[nonempty, None]
-    empty = np.flatnonzero(~nonempty)
+    step = max(1, _BLOCK // dim)
+    cols, idx = np.arange(dim), np.empty((min(n, step), dim), dtype=np.int64)
+    for s in range(0, n, step):
+        flat = np.multiply(labels[s : s + step, None], dim, out=idx[: min(step, n - s)])
+        flat += cols
+        np.add.at(sums.reshape(-1), flat.ravel(), x[s : s + step].ravel())
+    counts = np.bincount(labels, minlength=k)
+    sums /= np.maximum(counts, 1)[:, None]
+    empty = np.flatnonzero(counts == 0)
     if empty.size:
-        # deterministic repair: hand each empty cluster the next point that
-        # is farthest from its currently assigned centroid
-        order = np.argsort(-dists, kind="stable")
-        for slot, ci in enumerate(empty):
-            sums[ci] = x[order[slot]]
+        # deterministic repair: each empty cluster takes the next row farthest from its centroid
+        sums[empty] = x[np.argsort(-dists, kind="stable")[: empty.size]]
     return sums
 
 
@@ -308,13 +317,13 @@ class KMeansModel:
         seeds, labels, dists = _plusplus_init(x, xs, e, k, np.random.default_rng(seed))
         centroids = x[seeds]
         history = [float(dists.sum())]
-        for _ in range(max_iters):
+        for it in range(1, max_iters + 1):
             updated = _update_centroids(x, labels, dists, k)
-            shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
+            done = it == max_iters or np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max() <= tol
             centroids = updated
             labels, dists = _nearest(x, centroids, mean, e, xs)
             history.append(float(dists.sum()))
-            if shift <= tol:
+            if done:
                 break
         return cls(centroids=centroids, inertia_per_iter=tuple(history))
 

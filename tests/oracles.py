@@ -148,6 +148,47 @@ def kmeans_plusplus_naive(x, k, rng):
     return chosen
 
 
+def kmeans_update_naive(x, labels, dists, k):
+    """Each cluster's mean: a loop over the rows in order adds each row to its
+    cluster's float64 sums, starting from 0.0, and each sum is divided once by
+    its count. Each empty cluster, in index order, takes the next row by
+    descending ``dists``, earlier rows first among equal distances."""
+    n, dim = x.shape
+    sums = [[0.0] * dim for _ in range(k)]
+    counts = [0] * k
+    for row, label in zip(x.tolist(), labels):
+        counts[label] += 1
+        for j in range(dim):
+            sums[label][j] += row[j]
+    farthest = iter(sorted(range(n), key=lambda i: -dists[i]))  # sorted is stable
+    return np.array([[s / counts[c] for s in sums[c]] if counts[c] else x[next(farthest)]
+                     for c in range(k)], dtype=np.float64)
+
+
+def kmeans_fit_naive(x, k, seed, iters):
+    """``(centroids, inertia_per_iter)`` of k-means++ seeding, then up to
+    ``iters`` Lloyd iterations, each an update and a brute-force assignment;
+    it stops early once an iteration moves no centroid, as a fit with
+    ``tol=0`` does. Each inertia is the float64 sum of the exact distances."""
+    def assigned(centroids):
+        labels = np.array(nearest_centroid_bruteforce(x, centroids), dtype=np.int64)
+        dists = ((x - centroids[labels]) ** 2).sum(axis=1)
+        return labels, dists
+
+    centroids = x[kmeans_plusplus_naive(x, k, np.random.default_rng(seed))]
+    labels, dists = assigned(centroids)
+    history = [float(dists.sum())]
+    for _ in range(iters):
+        updated = kmeans_update_naive(x, labels, dists, k)
+        moved = ((updated - centroids) ** 2).any()
+        centroids = updated
+        labels, dists = assigned(centroids)
+        history.append(float(dists.sum()))
+        if not moved:
+            break
+    return centroids, history
+
+
 def best_two_means_partition(features):
     """Exhaustive optimum of 2-means over <= 12 points.
 

@@ -382,7 +382,7 @@ def test_ids_enter_through_one_gate():
 
 
 def test_one_memory_budget():
-    # _BLOCK, in doubles, bounds the temporaries of k-means assignment and of sampling
+    # _BLOCK, in doubles, bounds the temporaries of k-means assignment and update and of sampling
     assigned, readers = set(), set()
     for path in sorted(pathlib.Path(abpe.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -393,7 +393,7 @@ def test_one_memory_budget():
                     getattr(n, "id", None) == "_BLOCK" for n in ast.walk(node)):
                 readers.add(f"{path.stem}.{node.name}")
     assert assigned == {"corpus.py"}
-    assert readers == {"kmeans._nearest", "slm.generate_many"}
+    assert readers == {"kmeans._nearest", "kmeans._update_centroids", "slm.generate_many"}
 
 
 def test_id_rule_guard_sees_each_mark():

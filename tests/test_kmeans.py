@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -449,6 +450,21 @@ def test_empty_cluster_repair_moves_to_farthest_point():
     updated = _update_centroids(x, labels, dists, 3)
     farthest = x[int(np.argmax(dists))]
     assert np.array_equal(updated[2], farthest)
+
+
+@pytest.mark.parametrize("k, dim", [(3, 1), (50, 100)])
+def test_update_centroids_memory_is_bounded_in_bytes(k, dim):
+    # rows holding 4·_BLOCK values: the flat scatter's index covers one block of rows at a time
+    n = 4 * kmeans._BLOCK // dim + 1
+    x = np.random.default_rng(0).random((n, dim))
+    labels, dists = np.arange(n) % k, np.zeros(n)
+    tracemalloc.start()
+    try:
+        _update_centroids(x, labels, dists, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k * dim + 2 * kmeans._BLOCK) * 8
 
 
 def test_n_below_k_rejected():

@@ -1,5 +1,6 @@
-"""Property tests of BPE, the n-gram model, k-means assignment and k-means++
-seeding, against the oracles where they exist.
+"""Property tests of BPE, the n-gram model, k-means assignment, k-means++
+seeding, Lloyd's update and the whole fit, against the oracles where they
+exist.
 
 Alphabets of 2-4 symbols (2-6 for the wide trainer corpora) make runs and
 tied pair counts common; k-means inputs of small integers make tied and
@@ -13,24 +14,27 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from abpe import (BpeModel, Corpus, FormatError, KMeansModel, NgramModel, load_tokens, save_tokens,
-                  slm)
+from abpe import (BpeModel, Corpus, FormatError, KMeansModel, NgramModel, kmeans, load_tokens,
+                  save_tokens, slm)
 from abpe import corpus as corpus_module
 from abpe.bpe import _count_pairs
 from abpe.codec import _read_unicode
 from abpe.corpus import IdRangeError, _code_table
-from abpe.kmeans import _as_features, _nearest, _plusplus_init, _scale_exponent, _screened
+from abpe.kmeans import (_as_features, _nearest, _plusplus_init, _scale_exponent, _screened,
+                         _update_centroids)
 
 from oracles import (
     bpe_decode_naive,
     bpe_encode_stepwise,
     bpe_pair_counts,
     bpe_train_merges,
+    kmeans_fit_naive,
     kmeans_plusplus_naive,
+    kmeans_update_naive,
     nearest_centroid_bruteforce,
     ngram_cond_prob,
     ngram_logprob,
@@ -469,6 +473,56 @@ def test_plusplus_init_matches_oracle_with_float32_values(case, seed):
 def test_plusplus_init_matches_oracle_at_extreme_magnitudes(case, scale, seed):
     x, k = case
     check_seeding(x * scale, k, seed)
+
+
+@st.composite
+def update_cases(draw):
+    """Rows of dim 1-6 over small integers, -0.0 and float32 values,
+    labelled in runs over k = 1-6 clusters, some of them empty, with tied
+    distances; and a ``_BLOCK`` of 1-4 rows and part of one, so that blocks
+    split runs."""
+    dim = draw(st.integers(1, 6))
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=6))
+    labels = np.array([label for label, length in runs for _ in range(length)], dtype=np.int64)
+    k = draw(st.integers(labels.max() + 1, 6))
+    assume(k - len(set(labels.tolist())) <= len(labels))  # a row for every empty cluster
+    values = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0),
+                       st.floats(-100, 100, width=32))
+    x = np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                               min_size=len(labels), max_size=len(labels))), dtype=np.float64)
+    dists = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=len(labels),
+                                   max_size=len(labels))))
+    block = draw(st.integers(1, 4)) * dim + draw(st.integers(0, dim - 1))
+    return x, labels, dists, k, block
+
+
+@PROFILE
+@given(update_cases(), st.sampled_from([None, 1e6, 1e8, 3e9, -1e15]))
+def test_kmeans_update_matches_oracle(case, offset):
+    """The flat scatter adds each coordinate's rows in row order from 0.0, as
+    the oracle's loop does, in blocks of any size: a sum of -0.0 rows is 0.0,
+    and a repair copies its row's -0.0."""
+    x, labels, dists, k, block = case
+    if offset is not None:
+        x = x + offset
+    with mock.patch.object(kmeans, "_BLOCK", block):
+        got = _update_centroids(x, labels, dists, k)
+    assert got.tobytes() == kmeans_update_naive(x, labels, dists, k).tobytes()
+
+
+@PROFILE
+@given(st.one_of(seeding_cases(), seeding_cases(st.floats(-100, 100, width=32)))
+       .filter(lambda case: case[0].shape[1] < 8),  # numpy sums in the oracle's order
+       st.sampled_from([0.0, 1e6, 1e8]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_kmeans_fit_matches_oracle(case, offset, iters, seed):
+    """Seeding, then Lloyd's updates and assignments, repairs of empty
+    clusters among them: the same centroid bytes and inertia history."""
+    x, k = case
+    x = x + offset
+    model = KMeansModel.fit(x, k, seed=seed, max_iters=iters, tol=0.0)
+    centroids, history = kmeans_fit_naive(x, k, seed, iters)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.inertia_per_iter == tuple(history)
 
 
 # ids of every integer type, below 6, and values near them that are not ids
